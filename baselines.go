@@ -81,7 +81,7 @@ func (e *Engine) EnergyBaseline(nodes []Point, residual []float64) (*Result, err
 	}
 	ix := baseline.NewPropagationIndex(nodes, e.prop)
 	g := ix.EnergyMST(residual)
-	return baselineResultWithGR(nodes, e.model, g, core.MaxPowerGraph(nodes, e.prop)), nil
+	return baselineResult(nodes, e.model, g, core.MaxPowerGraph(nodes, e.prop)), nil
 }
 
 // baselineIndexed builds one comparator from a caller-shared spatial
@@ -110,7 +110,7 @@ func (e *Engine) baselineIndexed(kind BaselineKind, nodes []Point, ix *baseline.
 	if gr == nil {
 		gr = core.MaxPowerGraph(nodes, e.prop)
 	}
-	return baselineResultWithGR(nodes, e.model, g, gr), nil
+	return baselineResult(nodes, e.model, g, gr), nil
 }
 
 // BetaSkeleton builds the lune-based β-skeleton over the placement for
@@ -122,37 +122,10 @@ func (e *Engine) BetaSkeleton(beta float64, nodes []Point) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadConfig, err)
 	}
-	return baselineResult(nodes, e.model, g), nil
+	return baselineResult(nodes, e.model, g, core.MaxPowerGraph(nodes, e.prop)), nil
 }
 
-// RunBaseline builds the selected position-based topology using a
-// throwaway Engine.
-//
-// Deprecated: build an Engine with New and call Engine.Baseline.
-func RunBaseline(kind BaselineKind, nodes []Point, cfg Config) (*Result, error) {
-	eng, err := New(WithConfig(cfg))
-	if err != nil {
-		return nil, err
-	}
-	return eng.Baseline(kind, nodes)
-}
-
-// RunBetaSkeleton builds the β-skeleton using a throwaway Engine.
-//
-// Deprecated: build an Engine with New and call Engine.BetaSkeleton.
-func RunBetaSkeleton(beta float64, nodes []Point, cfg Config) (*Result, error) {
-	eng, err := New(WithConfig(cfg))
-	if err != nil {
-		return nil, err
-	}
-	return eng.BetaSkeleton(beta, nodes)
-}
-
-func baselineResult(nodes []Point, m radio.Model, g *graph.Graph) *Result {
-	return baselineResultWithGR(nodes, m, g, core.MaxPowerGraph(nodes, m))
-}
-
-func baselineResultWithGR(nodes []Point, m radio.Model, g, gr *graph.Graph) *Result {
+func baselineResult(nodes []Point, m radio.Model, g, gr *graph.Graph) *Result {
 	n := len(nodes)
 	res := &Result{
 		G:        g,
@@ -191,62 +164,54 @@ type ComparisonRow struct {
 
 // CompareBaselines runs CBTC (max power, basic 5π/6, all-ops at both
 // cone angles) next to every position-based comparator on the same
-// placement, fanning the independent constructions across the batch
-// worker pool. Only cfg's radio-model fields are read — MaxRadius and
-// PathLossExponent; Alpha and the optimization flags are ignored, as
-// each row fixes its own cone angle and stack.
+// placement under the radio model m, fanning the independent
+// constructions across the batch worker pool. Each row fixes its own
+// cone angle and optimization stack.
 //
 // The position-based rows share one spatial index and one ground-truth
 // G_R built up front for the placement, so the per-row cost is the
 // construction itself, not repeated quadratic scans; the returned
 // baseline Results consequently share their GR graph (callers must not
 // mutate it).
-func CompareBaselines(ctx context.Context, nodes []Point, cfg Config) ([]ComparisonRow, error) {
-	base := Config{MaxRadius: cfg.MaxRadius, PathLossExponent: cfg.PathLossExponent}
-	cfg23 := base
-	cfg23.Alpha = AlphaAsymmetric
-
+func CompareBaselines(ctx context.Context, nodes []Point, m RadioModel) ([]ComparisonRow, error) {
 	type spec struct {
 		name           string
 		needsPositions bool
 		run            func(ctx context.Context, eng *Engine) (*Result, error)
-		cfg            Config
+		opts           []Option
+	}
+	runCBTC := func(ctx context.Context, eng *Engine) (*Result, error) {
+		return eng.Run(ctx, nodes)
 	}
 	specs := []spec{
 		{"max power", false, func(_ context.Context, eng *Engine) (*Result, error) {
 			return eng.MaxPower(nodes)
-		}, base},
-		{"CBTC basic 5π/6", false, func(ctx context.Context, eng *Engine) (*Result, error) {
-			return eng.Run(ctx, nodes)
-		}, base},
-		{"CBTC all-ops 5π/6", false, func(ctx context.Context, eng *Engine) (*Result, error) {
-			return eng.Run(ctx, nodes)
-		}, base.AllOptimizations()},
-		{"CBTC all-ops 2π/3", false, func(ctx context.Context, eng *Engine) (*Result, error) {
-			return eng.Run(ctx, nodes)
-		}, cfg23.AllOptimizations()},
+		}, nil},
+		{"CBTC basic 5π/6", false, runCBTC, nil},
+		{"CBTC all-ops 5π/6", false, runCBTC, []Option{WithAllOptimizations()}},
+		{"CBTC all-ops 2π/3", false, runCBTC, []Option{WithAlpha(AlphaAsymmetric), WithAllOptimizations()}},
 	}
-	refEng, refErr := New(WithConfig(base))
-	if refErr != nil {
-		return nil, refErr
+	refEng, err := New(WithRadioModel(m))
+	if err != nil {
+		return nil, err
 	}
 	ix := baseline.NewIndex(nodes, refEng.model.MaxRadius)
-	gr := core.MaxPowerGraph(nodes, refEng.model)
+	gr := core.MaxPowerGraph(nodes, refEng.prop)
 	for _, kind := range BaselineKinds() {
 		kind := kind
 		specs = append(specs, spec{kind.String() + " (positions)", true,
 			func(_ context.Context, eng *Engine) (*Result, error) {
 				return eng.baselineIndexed(kind, nodes, ix, gr)
-			}, base})
+			}, nil})
 	}
 
 	rows := make([]ComparisonRow, len(specs))
 	plan := planShards(0, len(specs))
-	err := plan.run(ctx, len(specs), func(ctx context.Context, i int) error {
+	err = plan.run(ctx, len(specs), func(ctx context.Context, i int) error {
 		sp := specs[i]
 		// Spec engines run inside the shard pool: give each the plan's
 		// inner budget, not a full GOMAXPROCS pool of its own.
-		eng, err := New(WithConfig(sp.cfg), WithWorkers(plan.inner))
+		eng, err := refEng.derive(append([]Option{WithWorkers(plan.inner)}, sp.opts...)...)
 		if err != nil {
 			return fmt.Errorf("%s: %w", sp.name, err)
 		}

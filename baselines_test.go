@@ -11,7 +11,7 @@ func TestRunBaselineKinds(t *testing.T) {
 	for _, kind := range BaselineKinds() {
 		kind := kind
 		t.Run(kind.String(), func(t *testing.T) {
-			res, err := RunBaseline(kind, nodes, paperConfig())
+			res, err := paperEngine(t).Baseline(kind, nodes)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -34,7 +34,7 @@ func TestRunBaselineKinds(t *testing.T) {
 }
 
 func TestRunBaselineUnknownKind(t *testing.T) {
-	if _, err := RunBaseline(BaselineKind(99), someNetwork(1, 5), paperConfig()); !errors.Is(err, ErrBadConfig) {
+	if _, err := paperEngine(t).Baseline(BaselineKind(99), someNetwork(1, 5)); !errors.Is(err, ErrBadConfig) {
 		t.Errorf("err = %v, want ErrBadConfig", err)
 	}
 	if got := BaselineKind(99).String(); got != "BaselineKind(99)" {
@@ -47,11 +47,8 @@ func TestRunBaselineUnknownKind(t *testing.T) {
 // position-based constructions, without any position information.
 func TestCBTCCompetitiveWithBaselines(t *testing.T) {
 	nodes := someNetwork(21, 100)
-	cbtcRes, err := Run(nodes, paperConfig().AllOptimizations())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng, err := RunBaseline(BaselineRNG, nodes, paperConfig())
+	cbtcRes := paperRun(t, nodes, WithAllOptimizations())
+	rng, err := paperEngine(t).Baseline(BaselineRNG, nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,14 +65,11 @@ func TestCBTCCompetitiveWithBaselines(t *testing.T) {
 // nothing beats its bottleneck.
 func TestMinMaxRadiusOptimality(t *testing.T) {
 	nodes := someNetwork(22, 60)
-	mm, err := RunBaseline(BaselineMinMaxRadius, nodes, paperConfig())
+	mm, err := paperEngine(t).Baseline(BaselineMinMaxRadius, nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cbtcRes, err := Run(nodes, paperConfig().AllOptimizations())
-	if err != nil {
-		t.Fatal(err)
-	}
+	cbtcRes := paperRun(t, nodes, WithAllOptimizations())
 	bottleneck := cbtcRes.BottleneckRadius()
 	if mm.MaxRadius() < bottleneck-1e-9 {
 		t.Errorf("min-max baseline %v beat the bottleneck %v (impossible)", mm.MaxRadius(), bottleneck)
@@ -87,14 +81,8 @@ func TestMinMaxRadiusOptimality(t *testing.T) {
 
 func TestInterferenceReduction(t *testing.T) {
 	nodes := someNetwork(23, 100)
-	maxp, err := MaxPowerTopology(nodes, paperConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt, err := Run(nodes, paperConfig().AllOptimizations())
-	if err != nil {
-		t.Fatal(err)
-	}
+	maxp := paperMaxPower(t, nodes)
+	opt := paperRun(t, nodes, WithAllOptimizations())
 	if opt.AvgInterference() >= maxp.AvgInterference() {
 		t.Errorf("topology control must reduce interference: %v vs %v",
 			opt.AvgInterference(), maxp.AvgInterference())
@@ -107,14 +95,8 @@ func TestInterferenceReduction(t *testing.T) {
 
 func TestDiameterGrowsUnderSparsification(t *testing.T) {
 	nodes := someNetwork(24, 100)
-	maxp, err := MaxPowerTopology(nodes, paperConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt, err := Run(nodes, paperConfig().AllOptimizations())
-	if err != nil {
-		t.Fatal(err)
-	}
+	maxp := paperMaxPower(t, nodes)
+	opt := paperRun(t, nodes, WithAllOptimizations())
 	if opt.Diameter() < maxp.Diameter() {
 		t.Errorf("removing edges cannot shrink the diameter: %d vs %d",
 			opt.Diameter(), maxp.Diameter())
@@ -127,10 +109,7 @@ func TestDiameterGrowsUnderSparsification(t *testing.T) {
 func TestBiconnectivityReporting(t *testing.T) {
 	// A dense clique-ish placement is biconnected at max power.
 	nodes := []Point{Pt(0, 0), Pt(100, 0), Pt(50, 80), Pt(60, 30)}
-	maxp, err := MaxPowerTopology(nodes, Config{MaxRadius: 500})
-	if err != nil {
-		t.Fatal(err)
-	}
+	maxp := paperMaxPower(t, nodes)
 	if !maxp.IsBiconnected() {
 		t.Errorf("4-clique must be biconnected")
 	}
@@ -139,10 +118,7 @@ func TestBiconnectivityReporting(t *testing.T) {
 	}
 	// A chain is connected but not biconnected; every interior node cuts.
 	chain := []Point{Pt(0, 0), Pt(400, 0), Pt(800, 0), Pt(1200, 0)}
-	res, err := Run(chain, Config{MaxRadius: 500})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := paperRun(t, chain)
 	if res.IsBiconnected() {
 		t.Errorf("chain must not be biconnected")
 	}
@@ -153,22 +129,22 @@ func TestBiconnectivityReporting(t *testing.T) {
 
 func TestRunBetaSkeletonPublicAPI(t *testing.T) {
 	nodes := someNetwork(25, 60)
-	gg, err := RunBaseline(BaselineGabriel, nodes, paperConfig())
+	gg, err := paperEngine(t).Baseline(BaselineGabriel, nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b1, err := RunBetaSkeleton(1, nodes, paperConfig())
+	b1, err := paperEngine(t).BetaSkeleton(1, nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !b1.G.Equal(gg.G) {
 		t.Errorf("β=1 skeleton must equal the Gabriel graph")
 	}
-	rng, err := RunBaseline(BaselineRNG, nodes, paperConfig())
+	rng, err := paperEngine(t).Baseline(BaselineRNG, nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b2, err := RunBetaSkeleton(2, nodes, paperConfig())
+	b2, err := paperEngine(t).BetaSkeleton(2, nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +154,7 @@ func TestRunBetaSkeletonPublicAPI(t *testing.T) {
 	if !b2.PreservesConnectivity() {
 		t.Errorf("β=2 skeleton must preserve connectivity")
 	}
-	if _, err := RunBetaSkeleton(0.5, nodes, paperConfig()); !errors.Is(err, ErrBadConfig) {
+	if _, err := paperEngine(t).BetaSkeleton(0.5, nodes); !errors.Is(err, ErrBadConfig) {
 		t.Errorf("β < 1 must be rejected, got %v", err)
 	}
 }

@@ -1,6 +1,7 @@
 package cbtc
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -8,7 +9,46 @@ import (
 	"cbtc/internal/workload"
 )
 
-func paperConfig() Config { return Config{MaxRadius: workload.PaperRadius} }
+// paperEngine builds an engine on the paper's maximum radius with the
+// given options layered on top.
+func paperEngine(t testing.TB, opts ...Option) *Engine {
+	t.Helper()
+	eng, err := New(append([]Option{WithMaxRadius(workload.PaperRadius)}, opts...)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng
+}
+
+// paperRun runs the oracle on nodes under paperEngine(opts...).
+func paperRun(t testing.TB, nodes []Point, opts ...Option) *Result {
+	t.Helper()
+	res, err := paperEngine(t, opts...).Run(context.Background(), nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// paperMaxPower is the max-power baseline on the paper's radius.
+func paperMaxPower(t testing.TB, nodes []Point) *Result {
+	t.Helper()
+	res, err := paperEngine(t).MaxPower(nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// paperSimulate runs the Figure 1 protocol under paperEngine(opts...).
+func paperSimulate(t testing.TB, nodes []Point, sim SimOptions, opts ...Option) *Result {
+	t.Helper()
+	res, err := paperEngine(t, opts...).Simulate(context.Background(), nodes, sim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
 
 func someNetwork(seed uint64, n int) []Point {
 	return workload.Uniform(workload.Rand(seed), n, 1500, 1500)
@@ -16,10 +56,7 @@ func someNetwork(seed uint64, n int) []Point {
 
 func TestRunDefaults(t *testing.T) {
 	nodes := someNetwork(1, 60)
-	res, err := Run(nodes, paperConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := paperRun(t, nodes)
 	if res.G.Len() != 60 || len(res.Radii) != 60 || len(res.Powers) != 60 {
 		t.Fatalf("result shape wrong")
 	}
@@ -42,55 +79,52 @@ func TestRunDefaults(t *testing.T) {
 	}
 }
 
+// Every invalid parameter must be rejected by New before any run, with
+// one ErrBadConfig.
 func TestRunConfigValidation(t *testing.T) {
-	nodes := someNetwork(2, 10)
 	tests := []struct {
 		name string
-		cfg  Config
+		opts []Option
 	}{
-		{"zero radius", Config{}},
-		{"negative radius", Config{MaxRadius: -5}},
-		{"alpha too big", Config{MaxRadius: 500, Alpha: 7}},
-		{"nan alpha", Config{MaxRadius: 500, Alpha: math.NaN()}},
-		{"asym above 2π/3", Config{MaxRadius: 500, Alpha: AlphaConnectivity, AsymmetricRemoval: true}},
-		{"bad exponent", Config{MaxRadius: 500, PathLossExponent: 0.5}},
+		{"zero radius", []Option{WithRadioModel(RadioModel{Exponent: 2, RefLoss: 1})}},
+		{"nan radius", []Option{WithRadioModel(RadioModel{Exponent: 2, MaxRadius: math.NaN(), RefLoss: 1})}},
+		{"negative radius", []Option{WithRadioModel(RadioModel{Exponent: 2, MaxRadius: -5, RefLoss: 1})}},
+		{"alpha too big", []Option{WithMaxRadius(500), WithAlpha(7)}},
+		{"negative alpha", []Option{WithMaxRadius(500), WithAlpha(-1)}},
+		{"nan alpha", []Option{WithMaxRadius(500), WithAlpha(math.NaN())}},
+		{"asym above 2π/3", []Option{WithMaxRadius(500), WithAlpha(AlphaConnectivity), WithAsymmetricRemoval()}},
+		{"bad exponent", []Option{WithRadioModel(RadioModel{Exponent: 0.5, MaxRadius: 500, RefLoss: 1})}},
+		{"unknown policy", []Option{WithMaxRadius(500), WithPairwiseRemoval(PairwisePolicy(42))}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if _, err := Run(nodes, tt.cfg); !errors.Is(err, ErrBadConfig) {
-				t.Errorf("Run error = %v, want ErrBadConfig", err)
+			if _, err := New(tt.opts...); !errors.Is(err, ErrBadConfig) {
+				t.Errorf("New error = %v, want ErrBadConfig", err)
 			}
 		})
 	}
 }
 
 func TestAllOptimizations(t *testing.T) {
-	cfg := paperConfig().AllOptimizations()
-	if !cfg.ShrinkBack || !cfg.PairwiseRemoval {
-		t.Errorf("AllOptimizations must enable op1 and op3")
+	eng := paperEngine(t, WithAllOptimizations())
+	if !eng.opts.ShrinkBack || !eng.opts.PairwiseRemoval {
+		t.Errorf("WithAllOptimizations must enable op1 and op3")
 	}
-	if cfg.AsymmetricRemoval {
+	if eng.opts.AsymmetricRemoval {
 		t.Errorf("asym removal must stay off at the default α=5π/6")
 	}
-	cfg23 := Config{MaxRadius: 500, Alpha: AlphaAsymmetric}.AllOptimizations()
-	if !cfg23.AsymmetricRemoval {
+	if eng23 := paperEngine(t, WithAlpha(AlphaAsymmetric), WithAllOptimizations()); !eng23.opts.AsymmetricRemoval {
 		t.Errorf("asym removal must be on at α=2π/3")
 	}
-	if _, err := Run(someNetwork(3, 40), cfg); err != nil {
+	if _, err := eng.Run(context.Background(), someNetwork(3, 40)); err != nil {
 		t.Errorf("all-optimizations run failed: %v", err)
 	}
 }
 
 func TestOptimizationsReducePower(t *testing.T) {
 	nodes := someNetwork(4, 80)
-	basic, err := Run(nodes, paperConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := Run(nodes, paperConfig().AllOptimizations())
-	if err != nil {
-		t.Fatal(err)
-	}
+	basic := paperRun(t, nodes)
+	full := paperRun(t, nodes, WithAllOptimizations())
 	if full.AvgRadius >= basic.AvgRadius {
 		t.Errorf("optimizations must reduce average radius: %v >= %v", full.AvgRadius, basic.AvgRadius)
 	}
@@ -104,10 +138,7 @@ func TestOptimizationsReducePower(t *testing.T) {
 
 func TestMaxPowerTopology(t *testing.T) {
 	nodes := someNetwork(5, 50)
-	res, err := MaxPowerTopology(nodes, paperConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := paperMaxPower(t, nodes)
 	if !res.G.Equal(res.GR) {
 		t.Errorf("baseline topology must be GR itself")
 	}
@@ -124,14 +155,8 @@ func TestMaxPowerTopology(t *testing.T) {
 
 func TestSimulateMatchesRunShape(t *testing.T) {
 	nodes := someNetwork(6, 35)
-	ran, err := Run(nodes, paperConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim, err := Simulate(nodes, paperConfig(), SimOptions{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ran := paperRun(t, nodes)
+	sim := paperSimulate(t, nodes, SimOptions{Seed: 1})
 	if !sim.PreservesConnectivity() {
 		t.Errorf("simulated topology must preserve connectivity")
 	}
@@ -148,14 +173,8 @@ func TestSimulateMatchesRunShape(t *testing.T) {
 
 func TestSimulateFineSchedule(t *testing.T) {
 	nodes := someNetwork(7, 30)
-	sim, err := Simulate(nodes, paperConfig(), SimOptions{Seed: 2, IncreaseFactor: 1.05})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ran, err := Run(nodes, paperConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	sim := paperSimulate(t, nodes, SimOptions{Seed: 2, IncreaseFactor: 1.05})
+	ran := paperRun(t, nodes)
 	for u := range nodes {
 		if sim.Powers[u] > ran.Powers[u]*1.051 && sim.Powers[u] > sim.PowerCost(500)/1024*1.051 {
 			t.Errorf("node %d: fine-schedule power %v too far above oracle %v",
@@ -166,32 +185,26 @@ func TestSimulateFineSchedule(t *testing.T) {
 
 func TestSimulateLossyStillConnected(t *testing.T) {
 	nodes := someNetwork(8, 30)
-	sim, err := Simulate(nodes, paperConfig(), SimOptions{
+	sim := paperSimulate(t, nodes, SimOptions{
 		Seed:     3,
 		Jitter:   0.5,
 		DupProb:  0.1,
 		AoANoise: 0.01,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if !sim.PreservesConnectivity() {
 		t.Errorf("jitter/duplication/noise must not break connectivity")
 	}
 }
 
 func TestSimulateBadIncrease(t *testing.T) {
-	if _, err := Simulate(someNetwork(9, 5), paperConfig(), SimOptions{IncreaseFactor: 0.5}); !errors.Is(err, ErrBadConfig) {
+	if _, err := paperEngine(t).Simulate(context.Background(), someNetwork(9, 5), SimOptions{IncreaseFactor: 0.5}); !errors.Is(err, ErrBadConfig) {
 		t.Errorf("err = %v, want ErrBadConfig", err)
 	}
 }
 
 func TestStretchMetrics(t *testing.T) {
 	nodes := someNetwork(10, 50)
-	res, err := Run(nodes, paperConfig().AllOptimizations())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := paperRun(t, nodes, WithAllOptimizations())
 	ps, ds, hs := res.PowerStretch(), res.DistanceStretch(), res.HopStretch()
 	if math.IsInf(ps, 1) || math.IsInf(ds, 1) || math.IsInf(hs, 1) {
 		t.Fatalf("stretch infinite despite preserved connectivity: %v %v %v", ps, ds, hs)
@@ -203,10 +216,7 @@ func TestStretchMetrics(t *testing.T) {
 	}
 	// Subgraph routes can't be shorter, and removing edges can't help
 	// the baseline: identity case.
-	self, err := MaxPowerTopology(nodes, paperConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	self := paperMaxPower(t, nodes)
 	if got := self.PowerStretch(); math.Abs(got-1) > 1e-9 {
 		t.Errorf("baseline power stretch = %v, want 1", got)
 	}
@@ -214,10 +224,7 @@ func TestStretchMetrics(t *testing.T) {
 
 func TestRemovedRedundantReporting(t *testing.T) {
 	nodes := someNetwork(11, 80)
-	res, err := Run(nodes, paperConfig().AllOptimizations())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := paperRun(t, nodes, WithAllOptimizations())
 	removed := res.RemovedRedundant()
 	if len(removed) == 0 {
 		t.Errorf("a dense network must yield removed redundant edges")
@@ -227,10 +234,7 @@ func TestRemovedRedundantReporting(t *testing.T) {
 			t.Errorf("removed edge %v still present", e)
 		}
 	}
-	basic, err := Run(nodes, paperConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	basic := paperRun(t, nodes)
 	if len(basic.RemovedRedundant()) != 0 {
 		t.Errorf("basic run must not remove redundant edges")
 	}
@@ -238,10 +242,7 @@ func TestRemovedRedundantReporting(t *testing.T) {
 
 func TestBeaconPowerPublicAPI(t *testing.T) {
 	nodes := someNetwork(12, 60)
-	res, err := Run(nodes, paperConfig().AllOptimizations())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := paperRun(t, nodes, WithAllOptimizations())
 	maxP := res.PowerCost(workload.PaperRadius)
 	for u := range nodes {
 		bp := res.BeaconPower(u)
@@ -263,21 +264,12 @@ func TestPtHelper(t *testing.T) {
 
 func TestSimulateWithAsymmetricRemoval(t *testing.T) {
 	nodes := someNetwork(14, 30)
-	cfg := Config{MaxRadius: 500, Alpha: AlphaAsymmetric, AsymmetricRemoval: true, ShrinkBack: true}
-	sim, err := Simulate(nodes, cfg, SimOptions{Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sim := paperSimulate(t, nodes, SimOptions{Seed: 5}, WithAlpha(AlphaAsymmetric), WithShrinkBack(), WithAsymmetricRemoval())
 	if !sim.PreservesConnectivity() {
 		t.Errorf("simulated asymmetric removal must preserve connectivity")
 	}
 	// The mutual graph is a subgraph of what the closure would give.
-	closureCfg := cfg
-	closureCfg.AsymmetricRemoval = false
-	closure, err := Simulate(nodes, closureCfg, SimOptions{Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
+	closure := paperSimulate(t, nodes, SimOptions{Seed: 5}, WithAlpha(AlphaAsymmetric), WithShrinkBack())
 	if !sim.G.IsSubgraphOf(closure.G) {
 		t.Errorf("E⁻_α must be a subgraph of E_α")
 	}

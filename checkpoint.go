@@ -9,6 +9,7 @@ import (
 	"cbtc/internal/codec"
 	"cbtc/internal/core"
 	"cbtc/internal/graph"
+	"cbtc/internal/radio"
 	"cbtc/internal/spatial"
 )
 
@@ -37,16 +38,17 @@ var (
 )
 
 // fingerprint captures the engine's full resolved protocol configuration
-// in the checkpoint format's fixed-width shape.
+// in the checkpoint format's fixed-width shape. The codec's
+// NonContributing field is always written false: no option enables that
+// stack.
 func (e *Engine) fingerprint() codec.EngineConfig {
 	fc := codec.EngineConfig{
-		Alpha:             e.cfg.Alpha,
-		MaxRadius:         e.cfg.MaxRadius,
-		PathLossExponent:  e.cfg.PathLossExponent,
+		Alpha:             e.alpha,
+		MaxRadius:         e.model.MaxRadius,
+		PathLossExponent:  e.model.Exponent,
 		ShrinkBack:        e.opts.ShrinkBack,
 		AsymmetricRemoval: e.opts.AsymmetricRemoval,
 		PairwiseRemoval:   e.opts.PairwiseRemoval,
-		NonContributing:   e.opts.NonContributing,
 		PairwisePolicy:    uint8(e.opts.PairwisePolicy),
 		ScheduleFactor:    e.scheduleFactor,
 		RefLoss:           e.model.RefLoss,
@@ -184,7 +186,7 @@ func (e *Engine) sessionFromState(st *codec.SessionState, workers int) (*Session
 			continue
 		}
 		s.live++
-		s.recs[id] = core.NewReconfigurator(e.cfg.Alpha, e.model, st.Nodes[id].Neighbors)
+		s.recs[id] = core.NewReconfigurator(e.alpha, e.model, st.Nodes[id].Neighbors)
 	}
 	// The battery vector is adopted directly; the residual moments Observe
 	// reports are folded fresh from it each read, so nothing else needs
@@ -296,10 +298,9 @@ func engineFromFingerprint(fc codec.EngineConfig, workers int) (*Engine, error) 
 		return nil, fmt.Errorf("%w: member fingerprint requests unknown radio kind %d", ErrCheckpointCorrupt, fc.RadioKind)
 	}
 	s := settings{
-		cfg: Config{
-			Alpha:             fc.Alpha,
-			MaxRadius:         fc.MaxRadius,
-			PathLossExponent:  fc.PathLossExponent,
+		alpha: fc.Alpha,
+		model: radio.Model{Exponent: fc.PathLossExponent, MaxRadius: fc.MaxRadius, RefLoss: fc.RefLoss},
+		opts: core.Options{
 			ShrinkBack:        fc.ShrinkBack,
 			AsymmetricRemoval: fc.AsymmetricRemoval,
 			PairwiseRemoval:   fc.PairwiseRemoval,
@@ -307,7 +308,6 @@ func engineFromFingerprint(fc codec.EngineConfig, workers int) (*Engine, error) 
 		},
 		scheduleFactor: fc.ScheduleFactor,
 		workers:        workers,
-		refLoss:        fc.RefLoss,
 	}
 	if fc.RadioKind == 1 {
 		s.useShadow = true

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"cbtc/internal/codec"
 	"cbtc/internal/workload"
 )
 
@@ -188,11 +189,11 @@ func TestCheckpointConfigMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	others := [][]Option{
-		{WithMaxRadius(500)},                                                // different stack
-		{WithMaxRadius(400), WithShrinkBack()},                              // different radius
-		{WithMaxRadius(500), WithShrinkBack(), WithAlpha(2.0)},              // different α
-		{WithMaxRadius(500), WithShrinkBack(), WithPathLoss(4)},             // different model
-		{WithMaxRadius(500), WithShrinkBack(), WithShrinkBackSchedule(1.5)}, // quantized
+		{WithMaxRadius(500)},                                   // different stack
+		{WithMaxRadius(400), WithShrinkBack()},                 // different radius
+		{WithMaxRadius(500), WithShrinkBack(), WithAlpha(2.0)}, // different α
+		{WithRadioModel(RadioModel{Exponent: 4, MaxRadius: 500, RefLoss: 1}), WithShrinkBack()}, // different model
+		{WithMaxRadius(500), WithShrinkBack(), WithShrinkBackSchedule(1.5)},                     // quantized
 	}
 
 	sess, err := engA.NewSession(context.Background(), someNetwork(9, 30))
@@ -203,7 +204,7 @@ func TestCheckpointConfigMismatch(t *testing.T) {
 	if err := sess.Checkpoint(&sbuf); err != nil {
 		t.Fatal(err)
 	}
-	fleet, err := engA.NewFleet(context.Background(), FleetConfig{Placements: [][]Point{someNetwork(9, 20), someNetwork(10, 20)}, Seed: 3})
+	fleet, err := engA.NewFleet(context.Background(), FleetConfig{Members: oracleMembers([][]Point{someNetwork(9, 20), someNetwork(10, 20)}), Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +249,7 @@ func TestRestoreErrorPaths(t *testing.T) {
 	if err := sess.Checkpoint(&sbuf); err != nil {
 		t.Fatal(err)
 	}
-	fleet, err := eng.NewFleet(context.Background(), FleetConfig{Placements: [][]Point{someNetwork(4, 15)}, Seed: 1})
+	fleet, err := eng.NewFleet(context.Background(), FleetConfig{Members: oracleMembers([][]Point{someNetwork(4, 15)}), Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +300,7 @@ func TestFleetCheckpointRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fleet, err := eng.NewFleet(context.Background(), FleetConfig{Placements: sc.Placements(11), Seed: 11})
+	fleet, err := eng.NewFleet(context.Background(), FleetConfig{Members: oracleMembers(sc.Placements(11)), Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -450,7 +451,7 @@ func TestFleetTickEvents(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		f, err := eng.NewFleet(context.Background(), FleetConfig{Placements: placements, Seed: 5})
+		f, err := eng.NewFleet(context.Background(), FleetConfig{Members: oracleMembers(placements), Seed: 5})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -529,5 +530,58 @@ func TestFleetTickEvents(t *testing.T) {
 	}
 	if err := viaEvents.TickEvents(context.Background(), [][]Event{nil}); !errors.Is(err, ErrBadEvent) {
 		t.Fatalf("batch-count mismatch: got %v, want ErrBadEvent", err)
+	}
+}
+
+// TestEngineFingerprintsPinned freezes the checkpoint fingerprint of the
+// engine stacks durable state is written under — fleetd's, the paper's
+// all-ops, a non-unit reference loss, shadowing, batteries, quantized
+// tags and derived fleet members — as literal codec values, so a change
+// to how options resolve can never silently orphan existing
+// checkpoints.
+func TestEngineFingerprintsPinned(t *testing.T) {
+	const alpha56, alpha23 = 2.6179938779914944, 2.0943951023931957
+	base := func(opts ...Option) *Engine {
+		t.Helper()
+		eng, err := New(opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return eng
+	}
+	derived := func(eng *Engine, opts ...Option) *Engine {
+		t.Helper()
+		d, err := eng.derive(opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	cases := []struct {
+		name string
+		eng  *Engine
+		want codec.EngineConfig
+	}{
+		{"fleetd", base(WithMaxRadius(250), WithShrinkBack()), codec.EngineConfig{
+			Alpha: alpha56, MaxRadius: 250, PathLossExponent: 2, ShrinkBack: true, RefLoss: 1}},
+		{"all-ops-2pi3", base(WithMaxRadius(500), WithAlpha(AlphaAsymmetric), WithAllOptimizations()), codec.EngineConfig{
+			Alpha: alpha23, MaxRadius: 500, PathLossExponent: 2, ShrinkBack: true, AsymmetricRemoval: true, PairwiseRemoval: true, RefLoss: 1}},
+		{"radio-model", base(WithRadioModel(RadioModel{Exponent: 3, MaxRadius: 500, RefLoss: 2})), codec.EngineConfig{
+			Alpha: alpha56, MaxRadius: 500, PathLossExponent: 3, RefLoss: 2}},
+		{"shadowed", base(WithMaxRadius(500), WithShadowing(8, 42)), codec.EngineConfig{
+			Alpha: alpha56, MaxRadius: 500, PathLossExponent: 2, RefLoss: 1, RadioKind: 1, ShadowSigmaDB: 8, ShadowSeed: 42}},
+		{"battery", base(WithMaxRadius(500), WithShrinkBack(), WithBattery(1e6, 1)), codec.EngineConfig{
+			Alpha: alpha56, MaxRadius: 500, PathLossExponent: 2, ShrinkBack: true, RefLoss: 1, BatteryCapacity: 1e6, BatteryDrain: 1}},
+		{"schedule", base(WithMaxRadius(500), WithShrinkBackSchedule(1.5)), codec.EngineConfig{
+			Alpha: alpha56, MaxRadius: 500, PathLossExponent: 2, ScheduleFactor: 1.5, RefLoss: 1}},
+		{"derived-member", derived(base(WithMaxRadius(500)), WithAlpha(AlphaAsymmetric), WithAllOptimizations(), WithShrinkBackSchedule(1.5)), codec.EngineConfig{
+			Alpha: alpha23, MaxRadius: 500, PathLossExponent: 2, ShrinkBack: true, AsymmetricRemoval: true, PairwiseRemoval: true, ScheduleFactor: 1.5, RefLoss: 1}},
+		{"derived-radio-member", derived(base(WithRadioModel(RadioModel{Exponent: 3, MaxRadius: 500, RefLoss: 2}), WithShadowing(6, 7)), WithShrinkBack(), WithBattery(100, 0.5)), codec.EngineConfig{
+			Alpha: alpha56, MaxRadius: 500, PathLossExponent: 3, ShrinkBack: true, RefLoss: 2, RadioKind: 1, ShadowSigmaDB: 6, ShadowSeed: 7, BatteryCapacity: 100, BatteryDrain: 0.5}},
+	}
+	for _, tc := range cases {
+		if got := tc.eng.fingerprint(); got != tc.want {
+			t.Errorf("%s: fingerprint\n got %+v\nwant %+v", tc.name, got, tc.want)
+		}
 	}
 }

@@ -14,10 +14,7 @@ func TestPowerStretchCompetitiveBound(t *testing.T) {
 		bound := 1 + 2*math.Sin(alpha/2)
 		for seed := uint64(30); seed < 40; seed++ {
 			nodes := someNetwork(seed, 60)
-			res, err := Run(nodes, Config{Alpha: alpha, MaxRadius: 500})
-			if err != nil {
-				t.Fatal(err)
-			}
+			res := paperRun(t, nodes, WithAlpha(alpha))
 			got := res.PowerStretch()
 			if math.IsInf(got, 1) {
 				t.Fatalf("alpha=%.3f seed=%d: connectivity broken", alpha, seed)
@@ -38,10 +35,7 @@ func TestPowerStretchCompetitiveBound(t *testing.T) {
 func TestPowerStretchStaysModestAtTightBound(t *testing.T) {
 	for seed := uint64(40); seed < 45; seed++ {
 		nodes := someNetwork(seed, 60)
-		res, err := Run(nodes, Config{MaxRadius: 500})
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := paperRun(t, nodes)
 		if got := res.PowerStretch(); got > 5 {
 			t.Errorf("seed=%d: basic 5π/6 power stretch %.3f suspiciously large", seed, got)
 		}
@@ -54,10 +48,7 @@ func TestPowerStretchStaysModestAtTightBound(t *testing.T) {
 func TestAllOpsStretchBounded(t *testing.T) {
 	for seed := uint64(50); seed < 55; seed++ {
 		nodes := someNetwork(seed, 80)
-		res, err := Run(nodes, paperConfig().AllOptimizations())
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := paperRun(t, nodes, WithAllOptimizations())
 		ps, hs := res.PowerStretch(), res.HopStretch()
 		if math.IsInf(ps, 1) || math.IsInf(hs, 1) {
 			t.Fatalf("seed=%d: stretch infinite", seed)

@@ -61,14 +61,8 @@ func TestRenderDensitySweep(t *testing.T) {
 // topology.
 func TestTopologyInvariantUnderPathLossExponent(t *testing.T) {
 	nodes := someNetwork(33, 80)
-	free, err := Run(nodes, Config{MaxRadius: 500, PathLossExponent: 2}.AllOptimizations())
-	if err != nil {
-		t.Fatal(err)
-	}
-	urban, err := Run(nodes, Config{MaxRadius: 500, PathLossExponent: 4}.AllOptimizations())
-	if err != nil {
-		t.Fatal(err)
-	}
+	free := paperRun(t, nodes, WithRadioModel(RadioModel{Exponent: 2, MaxRadius: 500, RefLoss: 1}), WithAllOptimizations())
+	urban := paperRun(t, nodes, WithRadioModel(RadioModel{Exponent: 4, MaxRadius: 500, RefLoss: 1}), WithAllOptimizations())
 	if !free.G.Equal(urban.G) {
 		t.Errorf("topology must not depend on the path-loss exponent")
 	}

@@ -9,15 +9,15 @@ import (
 	"testing"
 
 	"cbtc/internal/codec"
+	"cbtc/internal/core"
 	"cbtc/internal/graph"
 	"cbtc/internal/radio"
 	"cbtc/internal/workload"
 )
 
-// radioStacks are the optimization stacks the PR 10 radio redesign is
-// gated on — the same coverage axes as checkpointStacks, expressed as
-// suffixes so each can be paired with either radio surface (legacy
-// WithMaxRadius/WithPathLoss or the redesigned WithRadioModel).
+// radioStacks are the optimization stacks the radio model is gated on —
+// the same coverage axes as checkpointStacks, expressed as suffixes so
+// each can be paired with any radio option.
 var radioStacks = []struct {
 	name string
 	opts []Option
@@ -54,31 +54,27 @@ func requireResultsIdentical(t *testing.T, want, got *Result) {
 	}
 }
 
-// TestRadioModelEquivalence is the redesign's compatibility gate: the
-// power-law model routed through WithRadioModel and the radio.Propagation
-// interface produces byte-identical output to the legacy
-// WithMaxRadius/WithPathLoss surface across every executor — oracle
-// runs, seeded protocol simulations, baselines, and full session event
-// histories — on every optimization stack.
+// TestRadioModelEquivalence: an engine rebuilt from its checkpoint
+// fingerprint — the way a fleet restore rebuilds heterogeneous members —
+// produces byte-identical output to the engine New built, across every
+// executor — oracle runs, seeded protocol simulations, baselines, and
+// full session event histories — on every optimization stack.
 func TestRadioModelEquivalence(t *testing.T) {
 	nodes := someNetwork(77, 60)
 	ctx := context.Background()
 	for _, st := range radioStacks {
 		st := st
 		t.Run(st.name, func(t *testing.T) {
-			legacy, err := New(append([]Option{WithMaxRadius(500), WithPathLoss(3)}, st.opts...)...)
-			if err != nil {
-				t.Fatal(err)
-			}
 			model, err := New(append([]Option{WithRadioModel(radio.Model{Exponent: 3, MaxRadius: 500, RefLoss: 1})}, st.opts...)...)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if legacy.fingerprint() != model.fingerprint() {
-				t.Fatalf("fingerprints differ:\n%+v\n%+v", legacy.fingerprint(), model.fingerprint())
+			rebuilt, err := engineFromFingerprint(model.fingerprint(), 0)
+			if err != nil {
+				t.Fatal(err)
 			}
 
-			wantRun, err := legacy.Run(ctx, nodes)
+			wantRun, err := rebuilt.Run(ctx, nodes)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -89,7 +85,7 @@ func TestRadioModelEquivalence(t *testing.T) {
 			requireResultsIdentical(t, wantRun, gotRun)
 
 			sim := SimOptions{Seed: 9}
-			wantSim, err := legacy.Simulate(ctx, nodes, sim)
+			wantSim, err := rebuilt.Simulate(ctx, nodes, sim)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -100,7 +96,7 @@ func TestRadioModelEquivalence(t *testing.T) {
 			requireResultsIdentical(t, wantSim, gotSim)
 
 			for _, kind := range BaselineKinds() {
-				wantB, err := legacy.Baseline(kind, nodes)
+				wantB, err := rebuilt.Baseline(kind, nodes)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -113,7 +109,7 @@ func TestRadioModelEquivalence(t *testing.T) {
 
 			// Same random event history on both sessions: every report and
 			// observation must match, and the final states must be identical.
-			sessA, err := legacy.NewSession(ctx, nodes)
+			sessA, err := rebuilt.NewSession(ctx, nodes)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -206,6 +202,63 @@ func TestShadowingDeterminism(t *testing.T) {
 	}
 	if other.GR.Equal(want.GR) && other.G.Equal(want.G) {
 		t.Fatal("different shadowing seeds realized identical topologies")
+	}
+}
+
+// TestShadowedGroundTruth: under per-link shadowing every executor
+// judges connectivity against one G_R — the maximum-power graph of the
+// propagation authority, not of the nominal power law — on the
+// incremental and the pairwise session stacks alike.
+func TestShadowedGroundTruth(t *testing.T) {
+	nodes := someNetwork(31, 60)
+	ctx := context.Background()
+	for _, st := range []struct {
+		name string
+		opts []Option
+	}{
+		{"basic", nil},
+		{"pairwise", []Option{WithAllOptimizations()}},
+	} {
+		st := st
+		t.Run(st.name, func(t *testing.T) {
+			eng, err := New(append([]Option{WithMaxRadius(500), WithShadowing(8, 42)}, st.opts...)...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			maxPower, err := eng.MaxPower(nodes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := maxPower.G
+			if nominal := core.MaxPowerGraph(nodes, eng.RadioModel()); nominal.Equal(want) {
+				t.Fatal("shadowing left G_R unchanged; the check below would be vacuous")
+			}
+			run, err := eng.Run(ctx, nodes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sim, err := eng.Simulate(ctx, nodes, SimOptions{Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sess, err := eng.NewSession(ctx, nodes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			snap, err := sess.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			skeleton, err := eng.BetaSkeleton(2, nodes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for name, res := range map[string]*Result{"Run": run, "Simulate": sim, "Snapshot": snap, "BetaSkeleton": skeleton} {
+				if !res.GR.Equal(want) {
+					t.Errorf("%s: G_R (%d edges) differs from MaxPower's (%d edges)", name, res.GR.EdgeCount(), want.EdgeCount())
+				}
+			}
+		})
 	}
 }
 
@@ -542,11 +595,8 @@ func TestLifetimeFleet(t *testing.T) {
 // single-error contract — every conflicting or invalid combination is
 // one ErrBadConfig.
 func TestRadioOptionConflicts(t *testing.T) {
-	okModel := radio.Model{Exponent: 2, MaxRadius: 500, RefLoss: 1}
+	okModel := radio.Model{Exponent: 3, MaxRadius: 500, RefLoss: 2}
 	bad := [][]Option{
-		{WithRadioModel(okModel), WithPathLoss(3)},
-		{WithRadioModel(okModel), WithMaxRadius(400)},
-		{WithRadioModel(okModel), WithConfig(Config{MaxRadius: 500})},
 		{WithRadioModel(radio.Model{Exponent: 0.5, MaxRadius: 500, RefLoss: 1})},
 		{WithRadioModel(radio.Model{Exponent: 2, MaxRadius: 500, RefLoss: -1})},
 		{WithMaxRadius(500), WithBattery(0, 1)},
@@ -564,13 +614,27 @@ func TestRadioOptionConflicts(t *testing.T) {
 			t.Errorf("case %d: New() error = %v, want ErrBadConfig", i, err)
 		}
 	}
-	// A Config carrying no radio fields composes with WithRadioModel.
-	eng, err := New(WithRadioModel(okModel), WithConfig(Config{Alpha: AlphaAsymmetric}), WithShrinkBack())
-	if err != nil {
-		t.Fatalf("radio-free WithConfig alongside WithRadioModel: %v", err)
+	// The radio options replace the whole model, so the later one wins:
+	// WithMaxRadius(r) is exactly the free-space model {2, r, 1}.
+	good := []struct {
+		opts []Option
+		want radio.Model
+	}{
+		{[]Option{WithMaxRadius(400)}, radio.Model{Exponent: 2, MaxRadius: 400, RefLoss: 1}},
+		{[]Option{WithRadioModel(okModel)}, okModel},
+		{[]Option{WithRadioModel(okModel), WithMaxRadius(400)}, radio.Model{Exponent: 2, MaxRadius: 400, RefLoss: 1}},
+		{[]Option{WithMaxRadius(400), WithRadioModel(okModel)}, okModel},
+		{[]Option{WithRadioModel(okModel), WithAlpha(AlphaAsymmetric), WithShrinkBack()}, okModel},
 	}
-	if eng.Alpha() != AlphaAsymmetric || eng.RadioModel() != okModel {
-		t.Fatalf("composed engine: alpha %v, model %+v", eng.Alpha(), eng.RadioModel())
+	for i, tc := range good {
+		eng, err := New(tc.opts...)
+		if err != nil {
+			t.Errorf("good case %d: %v", i, err)
+			continue
+		}
+		if got := eng.RadioModel(); got != tc.want {
+			t.Errorf("good case %d: model %+v, want %+v", i, got, tc.want)
+		}
 	}
 }
 

@@ -19,7 +19,7 @@ import (
 // and any number of Sessions (NewSession) and Fleets (NewFleet) may
 // evolve concurrently on top of it.
 type Engine struct {
-	cfg   Config
+	alpha float64
 	model radio.Model // nominal power-law model (the hardware curve)
 	// prop is the propagation authority every executor consults: the
 	// nominal model itself, or a radio.LogDistance wrapping it when
@@ -45,9 +45,9 @@ type Engine struct {
 }
 
 // New builds an Engine from functional options, validating the combined
-// configuration once. At minimum the maximum radius must be supplied
-// (WithMaxRadius or WithConfig); every violation is reported as an error
-// wrapping ErrBadConfig.
+// configuration once. At minimum a radio model must be supplied
+// (WithMaxRadius or WithRadioModel); every violation is reported as an
+// error wrapping ErrBadConfig.
 func New(options ...Option) (*Engine, error) {
 	var s settings
 	s.apply(options)
@@ -55,47 +55,50 @@ func New(options ...Option) (*Engine, error) {
 }
 
 // apply folds options into the accumulated settings, resolving the
-// AllOptimizations marker the way New always has: after every other
-// option, so it composes with WithAlpha in either order.
+// WithAllOptimizations marker after every other option, so it composes
+// with WithAlpha in either order.
 func (s *settings) apply(options []Option) {
 	for _, opt := range options {
 		opt(s)
 	}
 	if s.allOpts {
-		s.cfg = s.cfg.AllOptimizations()
+		alpha := s.alpha
+		if alpha == 0 {
+			alpha = AlphaConnectivity
+		}
+		s.opts.ShrinkBack = true
+		s.opts.PairwiseRemoval = true
+		s.opts.AsymmetricRemoval = alpha <= AlphaAsymmetric+1e-9
 		s.allOpts = false
 	}
 }
 
 // newEngine validates accumulated settings into an immutable Engine —
-// the shared back half of New and Engine.derive.
+// the shared back half of New, Engine.derive and engineFromFingerprint.
 func newEngine(s settings) (*Engine, error) {
-	if s.model != nil {
-		if s.usedPathLoss || s.usedMaxRadius || s.usedConfig {
-			return nil, fmt.Errorf("%w: WithRadioModel cannot be combined with WithPathLoss, WithMaxRadius, or a WithConfig carrying radio fields", ErrBadConfig)
-		}
-		if err := s.model.Validate(); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadConfig, err)
-		}
-		s.cfg.MaxRadius = s.model.MaxRadius
-		s.cfg.PathLossExponent = s.model.Exponent
+	if s.alpha == 0 {
+		s.alpha = AlphaConnectivity
 	}
-	cfg, m, opts, err := s.cfg.resolve()
-	if err != nil {
-		return nil, err
+	if math.IsNaN(s.alpha) || s.alpha <= 0 || s.alpha > 2*math.Pi {
+		return nil, fmt.Errorf("%w: alpha %v not in (0, 2π]", ErrBadConfig, s.alpha)
 	}
-	if s.model != nil {
-		m = *s.model // carry the reference loss; radius/exponent already agree
-	} else if s.refLoss != 0 && s.refLoss != m.RefLoss {
-		m.RefLoss = s.refLoss // derive carry-through of a non-unit reference loss
-		if err := m.Validate(); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadConfig, err)
-		}
+	if s.model == (radio.Model{}) {
+		return nil, fmt.Errorf("%w: no radio model (set WithMaxRadius or WithRadioModel)", ErrBadConfig)
+	}
+	if err := s.model.Validate(); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadConfig, err)
+	}
+	if p := s.opts.PairwisePolicy; p < 0 || p > PairwiseBothEndpoints {
+		return nil, fmt.Errorf("%w: unknown pairwise policy %v", ErrBadConfig, p)
+	}
+	if err := s.opts.Validate(s.alpha); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadConfig, err)
 	}
 	if s.workers < 0 {
 		return nil, fmt.Errorf("%w: negative worker count %d", ErrBadConfig, s.workers)
 	}
-	eng := &Engine{cfg: cfg, model: m, prop: m, opts: opts, workers: s.workers}
+	m := s.model
+	eng := &Engine{alpha: s.alpha, model: m, prop: m, opts: s.opts, workers: s.workers}
 	if s.useShadow {
 		ld, err := radio.NewLogDistance(m, s.shadowSigma, s.shadowSeed)
 		if err != nil {
@@ -113,7 +116,7 @@ func newEngine(s settings) (*Engine, error) {
 		if math.IsNaN(s.batteryDrain) || math.IsInf(s.batteryDrain, 0) || s.batteryDrain < 0 {
 			return nil, fmt.Errorf("%w: battery drain %v must be non-negative and finite", ErrBadConfig, s.batteryDrain)
 		}
-		if cfg.PairwiseRemoval {
+		if s.opts.PairwiseRemoval {
 			return nil, fmt.Errorf("%w: WithBattery requires the incremental session stack and cannot be combined with pairwise edge removal", ErrBadConfig)
 		}
 		eng.battery = true
@@ -135,8 +138,8 @@ func newEngine(s settings) (*Engine, error) {
 	return eng, nil
 }
 
-// derive builds a new Engine layered on this one: the engine's resolved
-// configuration is reopened as settings and the given options applied on
+// derive builds a new Engine layered on this one: the engine's
+// parameters are reopened as settings and the given options applied on
 // top, revalidated as a whole. With no options the engine itself is
 // returned. Fleets use it to give heterogeneous members their own option
 // stacks without losing the base engine's defaults.
@@ -145,10 +148,11 @@ func (e *Engine) derive(options ...Option) (*Engine, error) {
 		return e, nil
 	}
 	s := settings{
-		cfg:            e.cfg,
+		alpha:          e.alpha,
+		model:          e.model,
+		opts:           e.opts,
 		scheduleFactor: e.scheduleFactor,
 		workers:        e.workers,
-		refLoss:        e.model.RefLoss,
 		useShadow:      e.shadowed,
 		shadowSigma:    e.shadowSigma,
 		shadowSeed:     e.shadowSeed,
@@ -159,10 +163,6 @@ func (e *Engine) derive(options ...Option) (*Engine, error) {
 	s.apply(options)
 	return newEngine(s)
 }
-
-// Config returns the fully-resolved configuration the Engine runs with
-// (defaults filled in, pairwise policy resolved).
-func (e *Engine) Config() Config { return e.cfg }
 
 // RadioModel returns the nominal power-law radio model the Engine runs
 // with — the hardware curve, before any per-link shadowing.
@@ -185,7 +185,7 @@ func (e *Engine) withWorkers(n int) *Engine {
 }
 
 // Alpha returns the cone angle the Engine runs with.
-func (e *Engine) Alpha() float64 { return e.cfg.Alpha }
+func (e *Engine) Alpha() float64 { return e.alpha }
 
 // Run executes CBTC(α) on the placement under the exact minimal-power
 // semantics of the paper's analysis and applies the engine's
@@ -200,7 +200,7 @@ func (e *Engine) Run(ctx context.Context, nodes []Point) (*Result, error) {
 // run is Run with an explicit worker count; RunBatch pins it to 1 so
 // batch-level parallelism is not multiplied by per-run parallelism.
 func (e *Engine) run(ctx context.Context, nodes []Point, workers int) (*Result, error) {
-	exec, err := core.RunParallel(ctx, nodes, e.prop, e.cfg.Alpha, workers)
+	exec, err := core.RunParallel(ctx, nodes, e.prop, e.alpha, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -211,7 +211,7 @@ func (e *Engine) run(ctx context.Context, nodes []Point, workers int) (*Result, 
 	if err != nil {
 		return nil, err
 	}
-	return newResult(nodes, e.model, topo, workers), nil
+	return newResult(nodes, e.prop, topo, workers), nil
 }
 
 // Simulate runs the distributed Hello/Ack protocol of the paper's
@@ -228,7 +228,7 @@ func (e *Engine) Simulate(ctx context.Context, nodes []Point, sim SimOptions) (*
 	if err != nil {
 		return nil, err
 	}
-	return newResult(nodes, e.model, topo, e.workers), nil
+	return newResult(nodes, e.prop, topo, e.workers), nil
 }
 
 // protoExec runs the distributed Figure 1 protocol on the discrete-event
@@ -248,9 +248,9 @@ func (e *Engine) protoExec(ctx context.Context, nodes []Point, sim SimOptions) (
 		simOpts.Latency = 1
 	}
 	pcfg := proto.Config{
-		Alpha:       e.cfg.Alpha,
+		Alpha:       e.alpha,
 		P0:          sim.InitialPower,
-		AsymRemoval: e.cfg.AsymmetricRemoval,
+		AsymRemoval: e.opts.AsymmetricRemoval,
 	}
 	if sim.IncreaseFactor != 0 {
 		inc, err := radio.Multiplicative(sim.IncreaseFactor)

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"cbtc/internal/core"
 	"cbtc/internal/workload"
 )
 
@@ -19,7 +20,7 @@ func TestNewValidation(t *testing.T) {
 		{"negative radius", []Option{WithMaxRadius(-5)}},
 		{"alpha too big", []Option{WithMaxRadius(500), WithAlpha(7)}},
 		{"asym above 2π/3", []Option{WithMaxRadius(500), WithAlpha(AlphaConnectivity), WithAsymmetricRemoval()}},
-		{"bad exponent", []Option{WithMaxRadius(500), WithPathLoss(0.5)}},
+		{"bad exponent", []Option{WithRadioModel(RadioModel{Exponent: 0.5, MaxRadius: 500, RefLoss: 1})}},
 		{"bad schedule factor", []Option{WithMaxRadius(500), WithShrinkBackSchedule(0.9)}},
 		{"bad pairwise policy", []Option{WithMaxRadius(500), WithPairwiseRemoval(PairwisePolicy(42))}},
 		{"negative workers", []Option{WithMaxRadius(500), WithWorkers(-1)}},
@@ -38,15 +39,14 @@ func TestNewDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := eng.Config()
-	if cfg.Alpha != AlphaConnectivity {
-		t.Errorf("default alpha = %v, want 5π/6", cfg.Alpha)
+	if eng.Alpha() != AlphaConnectivity {
+		t.Errorf("default alpha = %v, want 5π/6", eng.Alpha())
 	}
-	if cfg.PathLossExponent != 2 {
-		t.Errorf("default exponent = %v, want 2", cfg.PathLossExponent)
+	if m := eng.RadioModel(); m.Exponent != 2 || m.RefLoss != 1 {
+		t.Errorf("default model = %+v, want exponent 2 and unit reference loss", m)
 	}
-	if eng.Alpha() != cfg.Alpha {
-		t.Errorf("Alpha() = %v disagrees with Config().Alpha = %v", eng.Alpha(), cfg.Alpha)
+	if eng.opts != (core.Options{}) {
+		t.Errorf("default optimization stack = %+v, want the basic algorithm", eng.opts)
 	}
 }
 
@@ -62,9 +62,8 @@ func TestWithAllOptimizationsComposes(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, eng := range []*Engine{before, after} {
-		cfg := eng.Config()
-		if !cfg.ShrinkBack || !cfg.PairwiseRemoval || !cfg.AsymmetricRemoval {
-			t.Errorf("all-ops at 2π/3 must enable op1+op2+op3: %+v", cfg)
+		if o := eng.opts; !o.ShrinkBack || !o.PairwiseRemoval || !o.AsymmetricRemoval {
+			t.Errorf("all-ops at 2π/3 must enable op1+op2+op3: %+v", o)
 		}
 	}
 	// At the default 5π/6, asymmetric removal must stay off.
@@ -72,83 +71,39 @@ func TestWithAllOptimizationsComposes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if def.Config().AsymmetricRemoval {
+	if def.opts.AsymmetricRemoval {
 		t.Errorf("all-ops at 5π/6 must not enable asymmetric removal")
 	}
 }
 
-func TestEngineMatchesLegacyRun(t *testing.T) {
-	nodes := someNetwork(31, 70)
-	cfg := Config{MaxRadius: 500, Alpha: AlphaAsymmetric}.AllOptimizations()
-	legacy, err := Run(nodes, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := New(
-		WithMaxRadius(500),
-		WithAlpha(AlphaAsymmetric),
-		WithAllOptimizations(),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := eng.Run(context.Background(), nodes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.G.Equal(legacy.G) {
-		t.Errorf("engine topology differs from legacy Run")
-	}
-	for u := range nodes {
-		if res.Powers[u] != legacy.Powers[u] || res.Radii[u] != legacy.Radii[u] {
-			t.Errorf("node %d: engine powers/radii differ from legacy Run", u)
-		}
-	}
-}
-
-// The §3.3 policy must resolve identically through the deprecated flag,
-// the explicit Config field, and the functional option — including
-// through AllOptimizations, which used to be able to drop it.
+// The §3.3 policy must resolve identically however the options spell
+// it — including through WithAllOptimizations, which must keep a policy
+// set in either order.
 func TestPairwisePolicyUnification(t *testing.T) {
 	nodes := someNetwork(32, 80)
-
-	viaFlag := Config{MaxRadius: 500, RemoveAllRedundant: true}.AllOptimizations()
-	if got := viaFlag.PairwisePolicy; got != PairwiseRemoveAll {
-		t.Errorf("AllOptimizations resolved policy = %v, want remove-all", got)
+	spellings := [][]Option{
+		{WithShrinkBack(), WithPairwiseRemoval(PairwiseRemoveAll)},
+		{WithPairwiseRemoval(PairwiseRemoveAll), WithAllOptimizations()},
+		{WithAllOptimizations(), WithPairwiseRemoval(PairwiseRemoveAll)},
 	}
-	viaField := Config{MaxRadius: 500, PairwisePolicy: PairwiseRemoveAll}.AllOptimizations()
-
-	resFlag, err := Run(nodes, viaFlag)
-	if err != nil {
-		t.Fatal(err)
+	var results []*Result
+	for i, opts := range spellings {
+		eng := paperEngine(t, opts...)
+		if got := eng.opts.PairwisePolicy; got != PairwiseRemoveAll {
+			t.Errorf("spelling %d resolved policy = %v, want remove-all", i, got)
+		}
+		results = append(results, paperRun(t, nodes, opts...))
 	}
-	resField, err := Run(nodes, viaField)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := New(
-		WithMaxRadius(500),
-		WithShrinkBack(),
-		WithPairwiseRemoval(PairwiseRemoveAll),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resOpt, err := eng.Run(context.Background(), nodes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !resFlag.G.Equal(resField.G) || !resFlag.G.Equal(resOpt.G) {
-		t.Errorf("the three policy spellings produced different topologies")
+	for i, res := range results[1:] {
+		if !res.G.Equal(results[0].G) {
+			t.Errorf("spelling %d produced a different topology", i+1)
+		}
 	}
 	// remove-all must delete at least as many edges as the default rule.
-	def, err := Run(nodes, Config{MaxRadius: 500}.AllOptimizations())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(resFlag.RemovedRedundant()) < len(def.RemovedRedundant()) {
+	def := paperRun(t, nodes, WithAllOptimizations())
+	if len(results[0].RemovedRedundant()) < len(def.RemovedRedundant()) {
 		t.Errorf("remove-all removed fewer edges (%d) than length-filtered (%d)",
-			len(resFlag.RemovedRedundant()), len(def.RemovedRedundant()))
+			len(results[0].RemovedRedundant()), len(def.RemovedRedundant()))
 	}
 }
 

@@ -1,6 +1,8 @@
 package cbtc_test
 
 import (
+	"context"
+	"errors"
 	"fmt"
 
 	"cbtc"
@@ -8,12 +10,15 @@ import (
 
 // Build a topology with the paper's tight connectivity bound and all
 // optimizations.
-func ExampleRun() {
+func ExampleEngine_Run() {
 	nodes := []cbtc.Point{
 		cbtc.Pt(0, 0), cbtc.Pt(300, 0), cbtc.Pt(150, 250), cbtc.Pt(450, 200),
 	}
-	cfg := cbtc.Config{MaxRadius: 400}.AllOptimizations()
-	res, err := cbtc.Run(nodes, cfg)
+	eng, err := cbtc.New(cbtc.WithMaxRadius(400), cbtc.WithAllOptimizations())
+	if err != nil {
+		panic(err)
+	}
+	res, err := eng.Run(context.Background(), nodes)
 	if err != nil {
 		panic(err)
 	}
@@ -25,11 +30,15 @@ func ExampleRun() {
 }
 
 // Compare against a position-based baseline from the related work.
-func ExampleRunBaseline() {
+func ExampleEngine_Baseline() {
 	nodes := []cbtc.Point{
 		cbtc.Pt(0, 0), cbtc.Pt(100, 0), cbtc.Pt(50, 10),
 	}
-	res, err := cbtc.RunBaseline(cbtc.BaselineRNG, nodes, cbtc.Config{MaxRadius: 400})
+	eng, err := cbtc.New(cbtc.WithMaxRadius(400))
+	if err != nil {
+		panic(err)
+	}
+	res, err := eng.Baseline(cbtc.BaselineRNG, nodes)
 	if err != nil {
 		panic(err)
 	}
@@ -42,13 +51,16 @@ func ExampleRunBaseline() {
 }
 
 // The asymmetric edge removal optimization is guarded by Theorem 3.2's
-// angle bound.
-func ExampleConfig_AllOptimizations() {
-	at23 := cbtc.Config{MaxRadius: 400, Alpha: cbtc.AlphaAsymmetric}.AllOptimizations()
-	at56 := cbtc.Config{MaxRadius: 400, Alpha: cbtc.AlphaConnectivity}.AllOptimizations()
-	fmt.Println("asym removal at 2π/3:", at23.AsymmetricRemoval)
-	fmt.Println("asym removal at 5π/6:", at56.AsymmetricRemoval)
+// angle bound: WithAllOptimizations enables it only where it is safe,
+// and New rejects an explicit request above 2π/3.
+func ExampleWithAllOptimizations() {
+	for _, alpha := range []float64{cbtc.AlphaAsymmetric, cbtc.AlphaConnectivity} {
+		_, allErr := cbtc.New(cbtc.WithMaxRadius(400), cbtc.WithAlpha(alpha), cbtc.WithAllOptimizations())
+		_, asymErr := cbtc.New(cbtc.WithMaxRadius(400), cbtc.WithAlpha(alpha), cbtc.WithAsymmetricRemoval())
+		fmt.Printf("α=%.4f all-ops ok: %v, explicit asym removal ok: %v\n",
+			alpha, allErr == nil, !errors.Is(asymErr, cbtc.ErrBadConfig))
+	}
 	// Output:
-	// asym removal at 2π/3: true
-	// asym removal at 5π/6: false
+	// α=2.0944 all-ops ok: true, explicit asym removal ok: true
+	// α=2.6180 all-ops ok: true, explicit asym removal ok: false
 }

@@ -22,7 +22,7 @@ func main() {
 
 	// CompareBaselines fans CBTC and every comparator across the batch
 	// worker pool and returns one row per topology.
-	rows, err := cbtc.CompareBaselines(context.Background(), nodes, cbtc.Config{MaxRadius: 500})
+	rows, err := cbtc.CompareBaselines(context.Background(), nodes, cbtc.RadioModel{Exponent: 2, MaxRadius: 500, RefLoss: 1})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -244,30 +244,25 @@ func Figure6Panels(seed uint64) ([]Panel, error) {
 // independent configurations run on the batch worker pool.
 func Figure6PanelsContext(ctx context.Context, seed uint64) ([]Panel, error) {
 	pos := workload.PaperNetwork(seed)
-	base := Config{MaxRadius: workload.PaperRadius}
-
-	cfg23 := base
-	cfg23.Alpha = AlphaAsymmetric
-	cfg56 := base
-	cfg56.Alpha = AlphaConnectivity
-
-	shrink := func(c Config) Config { c.ShrinkBack = true; return c }
-	asym := func(c Config) Config { c.AsymmetricRemoval = true; return c }
-	pairwise := func(c Config) Config { c.PairwiseRemoval = true; return c }
+	at23 := WithAlpha(AlphaAsymmetric)
+	at56 := WithAlpha(AlphaConnectivity)
+	shrink := WithShrinkBack()
+	asym := WithAsymmetricRemoval()
+	pairwise := WithPairwiseRemoval(PairwiseLengthFiltered)
 
 	specs := []struct {
 		key, title string
-		cfg        Config
+		opts       []Option
 		maxPower   bool
 	}{
-		{"a", "no topology control", base, true},
-		{"b", "α=2π/3, basic algorithm", cfg23, false},
-		{"c", "α=5π/6, basic algorithm", cfg56, false},
-		{"d", "α=2π/3 with shrink-back", shrink(cfg23), false},
-		{"e", "α=5π/6 with shrink-back", shrink(cfg56), false},
-		{"f", "α=2π/3 with shrink-back and asymmetric edge removal", asym(shrink(cfg23)), false},
-		{"g", "α=5π/6 with all applicable optimizations", pairwise(shrink(cfg56)), false},
-		{"h", "α=2π/3 with all optimizations", pairwise(asym(shrink(cfg23))), false},
+		{"a", "no topology control", nil, true},
+		{"b", "α=2π/3, basic algorithm", []Option{at23}, false},
+		{"c", "α=5π/6, basic algorithm", []Option{at56}, false},
+		{"d", "α=2π/3 with shrink-back", []Option{at23, shrink}, false},
+		{"e", "α=5π/6 with shrink-back", []Option{at56, shrink}, false},
+		{"f", "α=2π/3 with shrink-back and asymmetric edge removal", []Option{at23, shrink, asym}, false},
+		{"g", "α=5π/6 with all applicable optimizations", []Option{at56, shrink, pairwise}, false},
+		{"h", "α=2π/3 with all optimizations", []Option{at23, shrink, asym, pairwise}, false},
 	}
 	panels := make([]Panel, len(specs))
 	plan := planShards(0, len(specs))
@@ -275,7 +270,7 @@ func Figure6PanelsContext(ctx context.Context, seed uint64) ([]Panel, error) {
 		sp := specs[i]
 		// Panel engines run inside the shard pool: give each the plan's
 		// inner budget, not a full GOMAXPROCS pool of its own.
-		eng, err := New(WithConfig(sp.cfg), WithWorkers(plan.inner))
+		eng, err := New(append([]Option{WithMaxRadius(workload.PaperRadius), WithWorkers(plan.inner)}, sp.opts...)...)
 		if err != nil {
 			return fmt.Errorf("panel %s: %w", sp.key, err)
 		}

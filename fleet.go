@@ -156,17 +156,8 @@ type MemberSpec struct {
 // FleetConfig configures Engine.NewFleet.
 type FleetConfig struct {
 	// Members are the fleet's M member specifications; member i starts
-	// from Members[i]. At least one member is required (unless the
-	// deprecated Placements field is used instead).
+	// from Members[i]. At least one member is required.
 	Members []MemberSpec
-	// Placements is the PR 5 membership surface: M homogeneous
-	// oracle-built placements on the fleet engine's stack, one tick per
-	// round each.
-	//
-	// Deprecated: populate Members instead. Placements is a shim that
-	// builds the equivalent homogeneous []MemberSpec; setting both fields
-	// is an error.
-	Placements [][]Point
 	// Seed derives every member's private tick RNG (a decorrelated
 	// splitmix stream per member) and, for protocol members without an
 	// explicit Sim.Seed, the protocol simulator seed — so a fleet is
@@ -186,22 +177,12 @@ type FleetConfig struct {
 	ObserveHook ObserveHook
 }
 
-// members resolves the Members/Placements surfaces into one spec list.
+// members validates the member specs and fills in their defaults.
 func (cfg *FleetConfig) members() ([]MemberSpec, error) {
-	if len(cfg.Members) > 0 && len(cfg.Placements) > 0 {
-		return nil, fmt.Errorf("%w: set FleetConfig.Members or the deprecated Placements, not both", ErrBadConfig)
-	}
-	specs := cfg.Members
-	if len(specs) == 0 {
-		specs = make([]MemberSpec, len(cfg.Placements))
-		for i, p := range cfg.Placements {
-			specs[i] = MemberSpec{Placement: p}
-		}
-	}
-	if len(specs) == 0 {
+	if len(cfg.Members) == 0 {
 		return nil, fmt.Errorf("%w: fleet needs at least one member", ErrBadConfig)
 	}
-	out := append([]MemberSpec(nil), specs...)
+	out := append([]MemberSpec(nil), cfg.Members...)
 	for i := range out {
 		if out[i].Kind > MemberProtocol {
 			return nil, fmt.Errorf("%w: member %d: unknown kind %d", ErrBadConfig, i, out[i].Kind)

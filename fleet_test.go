@@ -21,6 +21,16 @@ func fleetEngine(t testing.TB, opts ...Option) *Engine {
 	return eng
 }
 
+// oracleMembers builds a homogeneous fleet: one oracle member on the
+// fleet engine's stack per placement, one tick per round each.
+func oracleMembers(placements [][]Point) []MemberSpec {
+	members := make([]MemberSpec, len(placements))
+	for i, p := range placements {
+		members[i] = MemberSpec{Placement: p}
+	}
+	return members
+}
+
 func fleetTick(sc workload.FleetScenario) TickFunc {
 	return DriftTick(TickProfile{
 		Moves:     sc.Moves,
@@ -130,44 +140,6 @@ func TestFleetWorkerCountInvariance(t *testing.T) {
 	}
 }
 
-// The deprecated Placements field must keep working: a Placements fleet
-// is byte-identical to the equivalent homogeneous oracle Members fleet.
-func TestFleetPlacementsShim(t *testing.T) {
-	sc := workload.Fleet(6, 35, "uniform")
-	placements := sc.Placements(13)
-	tick := fleetTick(sc)
-	ctx := context.Background()
-
-	old, err := fleetEngine(t).NewFleet(ctx, FleetConfig{Placements: placements, Seed: 13})
-	if err != nil {
-		t.Fatal(err)
-	}
-	members := make([]MemberSpec, len(placements))
-	for i, p := range placements {
-		members[i] = MemberSpec{Placement: p}
-	}
-	neu, err := fleetEngine(t).NewFleet(ctx, FleetConfig{Members: members, Seed: 13})
-	if err != nil {
-		t.Fatal(err)
-	}
-	oldRep, err := old.Run(ctx, 5, tick)
-	if err != nil {
-		t.Fatal(err)
-	}
-	newRep, err := neu.Run(ctx, 5, tick)
-	if err != nil {
-		t.Fatal(err)
-	}
-	zeroSched(oldRep)
-	zeroSched(newRep)
-	if !reflect.DeepEqual(oldRep, newRep) {
-		t.Error("Placements shim fleet report differs from explicit Members fleet")
-	}
-	if _, err := fleetEngine(t).NewFleet(ctx, FleetConfig{Placements: placements, Members: members}); !errors.Is(err, ErrBadConfig) {
-		t.Errorf("both Members and Placements error = %v, want ErrBadConfig", err)
-	}
-}
-
 // Fuzz-style randomized equivalence: a fleet of M networks must be
 // edge-identical to M sequential Sessions driven by the same tick
 // streams — for the incremental stack and for the pairwise (full
@@ -191,7 +163,7 @@ func TestFleetEqualsSequentialSessions(t *testing.T) {
 		placements := sc.Placements(seed)
 		tick := fleetTick(sc)
 
-		fleet, err := eng.NewFleet(ctx, FleetConfig{Placements: placements, Seed: seed, Workers: 1 + meta.IntN(7)})
+		fleet, err := eng.NewFleet(ctx, FleetConfig{Members: oracleMembers(placements), Seed: seed, Workers: 1 + meta.IntN(7)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -306,7 +278,7 @@ func TestFleetStragglerIsolation(t *testing.T) {
 
 	// Reference: the same fleet with no blocking. The block wrapper
 	// consumes no randomness, so results must match exactly.
-	ref, err := fleetEngine(t).NewFleet(ctx, FleetConfig{Placements: placements, Seed: seed, Workers: 4})
+	ref, err := fleetEngine(t).NewFleet(ctx, FleetConfig{Members: oracleMembers(placements), Seed: seed, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +287,7 @@ func TestFleetStragglerIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	fleet, err := fleetEngine(t).NewFleet(ctx, FleetConfig{Placements: placements, Seed: seed, Workers: 4})
+	fleet, err := fleetEngine(t).NewFleet(ctx, FleetConfig{Members: oracleMembers(placements), Seed: seed, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,7 +356,7 @@ func TestFleetLeaseTimeout(t *testing.T) {
 	ctx := context.Background()
 	sc := workload.Fleet(1, 25, "uniform")
 
-	fleet, err := fleetEngine(t).NewFleet(ctx, FleetConfig{Placements: sc.Placements(seed), Seed: seed, Workers: 1})
+	fleet, err := fleetEngine(t).NewFleet(ctx, FleetConfig{Members: oracleMembers(sc.Placements(seed)), Seed: seed, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -424,7 +396,7 @@ func TestFleetCancellationMidTick(t *testing.T) {
 	ctx := context.Background()
 	const ticks = 8
 
-	ref, err := fleetEngine(t).NewFleet(ctx, FleetConfig{Placements: placements, Seed: 21, Workers: 4})
+	ref, err := fleetEngine(t).NewFleet(ctx, FleetConfig{Members: oracleMembers(placements), Seed: 21, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -433,7 +405,7 @@ func TestFleetCancellationMidTick(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	fleet, err := fleetEngine(t).NewFleet(ctx, FleetConfig{Placements: placements, Seed: 21, Workers: 4})
+	fleet, err := fleetEngine(t).NewFleet(ctx, FleetConfig{Members: oracleMembers(placements), Seed: 21, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -490,7 +462,7 @@ func TestFleetCancellationMidTick(t *testing.T) {
 // A pre-cancelled context must abort before any tick applies.
 func TestFleetPreCancelled(t *testing.T) {
 	sc := workload.Fleet(3, 20, "uniform")
-	fleet, err := fleetEngine(t).NewFleet(context.Background(), FleetConfig{Placements: sc.Placements(1), Seed: 1})
+	fleet, err := fleetEngine(t).NewFleet(context.Background(), FleetConfig{Members: oracleMembers(sc.Placements(1)), Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -514,8 +486,8 @@ func TestFleetPreCancelled(t *testing.T) {
 func TestFleetEmptyNetwork(t *testing.T) {
 	ctx := context.Background()
 	fleet, err := fleetEngine(t).NewFleet(ctx, FleetConfig{
-		Placements: [][]Point{{}, {Pt(0, 0), Pt(100, 0)}},
-		Seed:       2,
+		Members: oracleMembers([][]Point{{}, {Pt(0, 0), Pt(100, 0)}}),
+		Seed:    2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -539,7 +511,7 @@ func TestFleetValidation(t *testing.T) {
 		t.Errorf("empty fleet error = %v, want ErrBadConfig", err)
 	}
 	sc := workload.Fleet(2, 15, "uniform")
-	if _, err := eng.NewFleet(ctx, FleetConfig{Placements: sc.Placements(1), Workers: -1}); !errors.Is(err, ErrBadConfig) {
+	if _, err := eng.NewFleet(ctx, FleetConfig{Members: oracleMembers(sc.Placements(1)), Workers: -1}); !errors.Is(err, ErrBadConfig) {
 		t.Errorf("negative workers error = %v, want ErrBadConfig", err)
 	}
 	bad := []MemberSpec{{Placement: sc.Placements(1)[0], Kind: MemberKind(9)}}
@@ -554,7 +526,7 @@ func TestFleetValidation(t *testing.T) {
 	if _, err := eng.NewFleet(ctx, FleetConfig{Members: bad}); !errors.Is(err, ErrBadConfig) {
 		t.Errorf("bad member option error = %v, want ErrBadConfig", err)
 	}
-	fleet, err := eng.NewFleet(ctx, FleetConfig{Placements: sc.Placements(1)})
+	fleet, err := eng.NewFleet(ctx, FleetConfig{Members: oracleMembers(sc.Placements(1))})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -139,13 +139,6 @@ func RemoveNonContributing(e *Execution) *Execution {
 	return out
 }
 
-// RemoveNonContributingNeighbors is the per-node form of
-// RemoveNonContributing, for callers (incremental session snapshots)
-// that maintain pruned neighbor sets one node at a time.
-func RemoveNonContributingNeighbors(neighbors []Discovery, alpha float64) []Discovery {
-	return removeNonContributing(neighbors, alpha)
-}
-
 func removeNonContributing(neighbors []Discovery, alpha float64) []Discovery {
 	kept := append([]Discovery(nil), neighbors...)
 	sort.Slice(kept, func(i, j int) bool { return kept[i].Dist > kept[j].Dist }) // farthest first

@@ -1,27 +1,19 @@
 package cbtc
 
-import "cbtc/internal/radio"
+import (
+	"cbtc/internal/core"
+	"cbtc/internal/radio"
+)
 
 // settings accumulates functional options before New validates them
 // into an immutable Engine.
 type settings struct {
-	cfg            Config
+	alpha          float64
+	model          radio.Model // zero until WithMaxRadius or WithRadioModel
+	opts           core.Options
 	allOpts        bool
 	scheduleFactor float64
 	workers        int
-
-	// model is the explicit nominal radio model from WithRadioModel; nil
-	// means derive it from the Config radio fields the legacy way. The
-	// used* flags record which surface supplied radio parameters so New
-	// can reject conflicting combinations with one ErrBadConfig.
-	model         *radio.Model
-	usedPathLoss  bool
-	usedMaxRadius bool
-	usedConfig    bool
-	// refLoss carries a non-unit reference loss through Engine.derive,
-	// where the base radio is reopened as Config fields (which cannot
-	// express it). Zero means "whatever resolve produces".
-	refLoss float64
 
 	// shadowing (WithShadowing)
 	useShadow   bool
@@ -39,79 +31,41 @@ type settings struct {
 // surfaces as a single ErrBadConfig from New.
 type Option func(*settings)
 
-// WithConfig seeds every Engine parameter from a legacy Config. It is
-// the migration path for code that already assembles Config values;
-// options applied after it override individual fields.
-func WithConfig(cfg Config) Option {
-	return func(s *settings) {
-		s.cfg = cfg
-		if cfg.MaxRadius != 0 || cfg.PathLossExponent != 0 {
-			s.usedConfig = true
-		}
-	}
-}
-
 // WithAlpha sets the cone angle in radians. Zero means AlphaConnectivity
 // (5π/6); connectivity is only guaranteed for α ≤ 5π/6.
 func WithAlpha(alpha float64) Option {
-	return func(s *settings) { s.cfg.Alpha = alpha }
+	return func(s *settings) { s.alpha = alpha }
 }
 
-// WithMaxRadius sets R, the distance reachable at maximum power.
-// Required unless the radio is supplied through WithRadioModel or
-// WithConfig.
-//
-// Deprecated: new code should describe the radio with
-// WithRadioModel(RadioModel{...}); WithMaxRadius(r) is equivalent to
-// WithRadioModel with Exponent 2 (or the WithPathLoss value) and
-// RefLoss 1. The shim remains fully supported but cannot be combined
-// with WithRadioModel.
+// WithMaxRadius sets R, the distance reachable at maximum power, under
+// the paper's free-space power law. It is shorthand for
+// WithRadioModel(RadioModel{Exponent: 2, MaxRadius: r, RefLoss: 1});
+// like every radio option it replaces the whole model, so the later of
+// WithMaxRadius and WithRadioModel wins.
 func WithMaxRadius(r float64) Option {
-	return func(s *settings) {
-		s.cfg.MaxRadius = r
-		s.usedMaxRadius = true
-	}
-}
-
-// WithPathLoss sets the power-law path-loss exponent n in p(d) = d^n.
-// Zero means 2 (free space); realistic terrestrial environments use 2–4.
-//
-// Deprecated: new code should describe the radio with
-// WithRadioModel(RadioModel{...}), which also exposes the reference
-// loss. The shim remains fully supported but cannot be combined with
-// WithRadioModel.
-func WithPathLoss(exponent float64) Option {
-	return func(s *settings) {
-		s.cfg.PathLossExponent = exponent
-		s.usedPathLoss = true
-	}
+	return WithRadioModel(radio.Default(r))
 }
 
 // RadioModel is the nominal power-law radio model: reaching distance d
 // costs power RefLoss·d^Exponent, and MaxRadius is the distance
 // reachable at maximum power. It aliases the internal propagation type
 // so callers outside the module can construct one for WithRadioModel;
-// New validates the fields (Exponent ≥ 1, positive finite MaxRadius and
+// New validates the fields (Exponent ≥ 1, positive MaxRadius and
 // RefLoss) and rejects bad values with ErrBadConfig.
 type RadioModel = radio.Model
 
-// WithRadioModel installs the nominal power-law radio model wholesale —
-// exponent, maximum radius and reference loss — replacing the piecemeal
-// WithMaxRadius/WithPathLoss surface. Combining it with those options
-// (or with a WithConfig carrying radio fields) is a configuration
-// conflict New rejects with ErrBadConfig.
+// WithRadioModel installs the nominal power-law radio model wholesale:
+// exponent, maximum radius and reference loss. A radio model is
+// required, through this option or WithMaxRadius; the later one wins.
 func WithRadioModel(m RadioModel) Option {
-	return func(s *settings) {
-		mc := m
-		s.model = &mc
-	}
+	return func(s *settings) { s.model = m }
 }
 
 // WithShadowing replaces the uniform power law with a deterministic
 // log-distance model: each link (u, v) carries a shadowing term in
 // [−sigmaDB, +sigmaDB] decibels hashed from (seed, u, v), perturbing the
-// power the link needs. The nominal model (WithRadioModel or the legacy
-// radio options) remains the hardware curve — maximum power, schedules
+// power the link needs. The nominal model (WithRadioModel or
+// WithMaxRadius) remains the hardware curve — maximum power, schedules
 // and node-side distance estimation still derive from it. Zero sigmaDB
 // is valid and degenerates to the nominal law.
 func WithShadowing(sigmaDB float64, seed uint64) Option {
@@ -143,14 +97,14 @@ func WithBattery(capacity, drain float64) Option {
 // each node drops trailing discovery-power levels whose removal leaves
 // its cone coverage unchanged.
 func WithShrinkBack() Option {
-	return func(s *settings) { s.cfg.ShrinkBack = true }
+	return func(s *settings) { s.opts.ShrinkBack = true }
 }
 
 // WithAsymmetricRemoval enables optimization 2 (§3.2): keep only mutual
 // edges instead of the symmetric closure. Requires α ≤ 2π/3; New rejects
 // larger angles.
 func WithAsymmetricRemoval() Option {
-	return func(s *settings) { s.cfg.AsymmetricRemoval = true }
+	return func(s *settings) { s.opts.AsymmetricRemoval = true }
 }
 
 // WithPairwiseRemoval enables optimization 3 (§3.3) under the given
@@ -158,15 +112,17 @@ func WithAsymmetricRemoval() Option {
 // rule; the zero policy value means the same default.
 func WithPairwiseRemoval(policy PairwisePolicy) Option {
 	return func(s *settings) {
-		s.cfg.PairwiseRemoval = true
-		s.cfg.PairwisePolicy = policy
+		s.opts.PairwiseRemoval = true
+		s.opts.PairwisePolicy = policy
 	}
 }
 
 // WithAllOptimizations enables every optimization applicable at the
-// engine's cone angle — the paper's "with all opt" configuration. It is
-// applied at New time, after all other options, so it composes with
-// WithAlpha in either order.
+// engine's cone angle — the paper's "with all opt" configuration:
+// shrink-back and pairwise removal always, asymmetric removal exactly
+// when α ≤ 2π/3. It is applied at New time, after all other options, so
+// it composes with WithAlpha in either order; a pairwise policy set by
+// WithPairwiseRemoval is kept.
 func WithAllOptimizations() Option {
 	return func(s *settings) { s.allOpts = true }
 }

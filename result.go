@@ -38,8 +38,11 @@ type Result struct {
 	model radio.Model
 }
 
-func newResult(nodes []Point, m radio.Model, topo *core.Topology, workers int) *Result {
-	return newResultWithGR(nodes, m, topo, core.MaxPowerGraphParallel(nodes, m, workers))
+// newResult builds a Result whose ground truth G_R comes from the
+// engine's propagation authority, so a shadowed run is judged against
+// the links that actually exist.
+func newResult(nodes []Point, prop radio.Propagation, topo *core.Topology, workers int) *Result {
+	return newResultWithGR(nodes, prop.Nominal(), topo, core.MaxPowerGraphParallel(nodes, prop, workers))
 }
 
 // newResultWithGR builds a Result against a caller-supplied ground-truth

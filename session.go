@@ -138,7 +138,7 @@ func (e *Engine) NewSession(ctx context.Context, nodes []Point) (*Session, error
 // newSession is NewSession with an explicit worker budget; fleets pin
 // their shards' sessions to the shard plan's inner budget.
 func (e *Engine) newSession(ctx context.Context, nodes []Point, workers int) (*Session, error) {
-	exec, err := core.RunParallel(ctx, nodes, e.prop, e.cfg.Alpha, workers)
+	exec, err := core.RunParallel(ctx, nodes, e.prop, e.alpha, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -196,7 +196,7 @@ func (e *Engine) sessionFromExec(ctx context.Context, nodes []Point, exec *core.
 	}
 	for i := range nodes {
 		s.alive[i] = true
-		s.recs[i] = core.NewReconfigurator(e.cfg.Alpha, e.model, exec.Nodes[i].Neighbors)
+		s.recs[i] = core.NewReconfigurator(e.alpha, e.model, exec.Nodes[i].Neighbors)
 	}
 	s.live = len(nodes)
 	if s.incremental {
@@ -233,16 +233,12 @@ func (e *Engine) sessionFromExec(ctx context.Context, nodes []Point, exec *core.
 	return s, nil
 }
 
-// pruneNeighbors applies the engine's per-node-local optimizations in
-// BuildTopology's order: shrink-back (op1), then the non-contributing
-// degree reduction. Pairwise removal is global and never goes through
-// here.
+// pruneNeighbors applies the engine's per-node-local optimization,
+// shrink-back (op1), as BuildTopology does. Pairwise removal is global
+// and never goes through here.
 func (e *Engine) pruneNeighbors(nbrs []core.Discovery) []core.Discovery {
 	if e.opts.ShrinkBack {
-		nbrs = core.ShrinkNeighbors(nbrs, e.cfg.Alpha)
-	}
-	if e.opts.NonContributing {
-		nbrs = core.RemoveNonContributingNeighbors(nbrs, e.cfg.Alpha)
+		nbrs = core.ShrinkNeighbors(nbrs, e.alpha)
 	}
 	return nbrs
 }
@@ -470,7 +466,7 @@ func (s *Session) snapshotLocked() (*Result, error) {
 	}
 	if s.incremental {
 		exec := &core.Execution{
-			Alpha: s.eng.cfg.Alpha,
+			Alpha: s.eng.alpha,
 			Model: s.eng.model,
 			Pos:   append([]Point(nil), s.pos...),
 			Nodes: make([]core.NodeResult, len(s.pos)),
@@ -498,7 +494,7 @@ func (s *Session) snapshotLocked() (*Result, error) {
 		return s.cached, nil
 	}
 	exec := &core.Execution{
-		Alpha: s.eng.cfg.Alpha,
+		Alpha: s.eng.alpha,
 		Model: s.eng.model,
 		Pos:   append([]Point(nil), s.pos...),
 		Nodes: append([]core.NodeResult(nil), s.nodes...),
@@ -507,7 +503,7 @@ func (s *Session) snapshotLocked() (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cbtc: session snapshot: %w", err)
 	}
-	gr := core.MaxPowerGraphParallel(s.pos, s.eng.model, s.workers)
+	gr := core.MaxPowerGraphParallel(s.pos, s.eng.prop, s.workers)
 	for u := range s.alive {
 		if !s.alive[u] {
 			gr.IsolateNode(u)
@@ -913,13 +909,13 @@ func (s *Session) recompute(ids []int) []int {
 	// no caller-supplied context to honor.
 	_ = core.ParallelRange(context.Background(), len(live), workers, func(w, i int) {
 		u := live[i]
-		nr := runners[w].RunNode(s.pos, s.alive, s.eng.prop, s.eng.cfg.Alpha, u, s.idx)
+		nr := runners[w].RunNode(s.pos, s.alive, s.eng.prop, s.eng.alpha, u, s.idx)
 		if s.eng.schedule != nil {
 			nr.Neighbors = core.QuantizeNeighbors(nr.Neighbors, s.eng.schedule)
 		}
 		rc := recomputed{
 			nr:  nr,
-			rec: core.NewReconfigurator(s.eng.cfg.Alpha, s.eng.model, nr.Neighbors),
+			rec: core.NewReconfigurator(s.eng.alpha, s.eng.model, nr.Neighbors),
 		}
 		if s.incremental {
 			rc.pruned = s.eng.pruneNeighbors(nr.Neighbors)

@@ -164,7 +164,7 @@ func TestSessionLargeNIncrementalIndex(t *testing.T) {
 				t.Fatal(err)
 			}
 			// A move affects both the old and the new neighborhood.
-			r := 2 * eng.Config().MaxRadius
+			r := 2 * eng.RadioModel().MaxRadius
 			for _, u := range rep.Recomputed {
 				p := sess.Position(u)
 				if p.Dist(site) > r*(1+1e-9) && p.Dist(from) > r*(1+1e-9) {
@@ -176,7 +176,7 @@ func TestSessionLargeNIncrementalIndex(t *testing.T) {
 			}
 			continue
 		}
-		r := 2 * eng.Config().MaxRadius
+		r := 2 * eng.RadioModel().MaxRadius
 		for _, u := range rep.Recomputed {
 			if sess.Position(u).Dist(site) > r*(1+1e-9) {
 				t.Fatalf("step %d: recomputed node %d at %v is outside the event neighborhood of %v",

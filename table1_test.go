@@ -114,11 +114,7 @@ func TestTable1AsymTradeoffAndInTextRadius(t *testing.T) {
 	const networks = 30
 	for seed := uint64(0); seed < networks; seed++ {
 		nodes := someNetwork(seed, 100)
-		cfg := Config{MaxRadius: 500, Alpha: AlphaAsymmetric, AsymmetricRemoval: true}
-		res, err := Run(nodes, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := paperRun(t, nodes, WithAlpha(AlphaAsymmetric), WithAsymmetricRemoval())
 		radius += res.AvgRadius
 		degree += res.AvgDegree
 	}
