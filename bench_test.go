@@ -459,75 +459,59 @@ func BenchmarkLargeN(b *testing.B) {
 			b.ReportMetric(float64(recomputed)/float64(b.N), "recomputed/op")
 		})
 
-		// Incremental Snapshot: one Move then a fresh snapshot per
+		// Snapshot benchmarks: one Move then a fresh snapshot per
 		// iteration. Before PR 3 every snapshot rebuilt the full topology
 		// and ground-truth G_R; PR 3 cloned the maintained graphs; since
 		// PR 4 the clones are copy-on-write — O(n) slice-header copies —
 		// so the snapshot cost no longer scales with the edge count.
-		b.Run(sc.Name+"/session-snapshot", func(b *testing.B) {
-			eng, err := New(WithMaxRadius(sc.Radius), WithShrinkBack())
-			if err != nil {
-				b.Fatal(err)
-			}
-			sess, err := eng.NewSession(ctx, pos)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := sess.Snapshot(); err != nil {
-				b.Fatal(err)
-			}
-			rng := workload.Rand(101)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				id := rng.IntN(len(pos))
-				if !sess.Alive(id) {
-					continue
-				}
-				to := geom.Pt(rng.Float64()*sc.Side, rng.Float64()*sc.Side)
-				if _, err := sess.Move(id, to); err != nil {
+		snapshotBench := func(snapshot func(*Session) error, opts ...Option) func(*testing.B) {
+			return func(b *testing.B) {
+				eng, err := New(append([]Option{WithMaxRadius(sc.Radius)}, opts...)...)
+				if err != nil {
 					b.Fatal(err)
 				}
-				if _, err := sess.Snapshot(); err != nil {
+				sess, err := eng.NewSession(ctx, pos)
+				if err != nil {
 					b.Fatal(err)
 				}
-			}
-		})
-
-		// The full-rebuild fallback as the in-run reference: pairwise
-		// removal is a global transformation, so these sessions rebuild
-		// the whole topology and G_R per snapshot — the path every
-		// snapshot took before PR 3. BENCH_PR4.json pins the COW
-		// snapshot's lead over it at n=10000.
-		b.Run(sc.Name+"/session-snapshot-full", func(b *testing.B) {
-			eng, err := New(WithMaxRadius(sc.Radius), WithAllOptimizations())
-			if err != nil {
-				b.Fatal(err)
-			}
-			sess, err := eng.NewSession(ctx, pos)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := sess.Snapshot(); err != nil {
-				b.Fatal(err)
-			}
-			rng := workload.Rand(101)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				id := rng.IntN(len(pos))
-				if !sess.Alive(id) {
-					continue
-				}
-				to := geom.Pt(rng.Float64()*sc.Side, rng.Float64()*sc.Side)
-				if _, err := sess.Move(id, to); err != nil {
+				if err := snapshot(sess); err != nil {
 					b.Fatal(err)
 				}
-				if _, err := sess.Snapshot(); err != nil {
-					b.Fatal(err)
+				rng := workload.Rand(101)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					id := rng.IntN(len(pos))
+					if !sess.Alive(id) {
+						continue
+					}
+					to := geom.Pt(rng.Float64()*sc.Side, rng.Float64()*sc.Side)
+					if _, err := sess.Move(id, to); err != nil {
+						b.Fatal(err)
+					}
+					if err := snapshot(sess); err != nil {
+						b.Fatal(err)
+					}
 				}
 			}
-		})
+		}
+		maintained := func(sess *Session) error {
+			_, err := sess.Snapshot()
+			return err
+		}
+		b.Run(sc.Name+"/session-snapshot", snapshotBench(maintained, WithShrinkBack()))
+		// The full stack on the same maintained path: the repair also
+		// re-decides pairwise removal around the change.
+		b.Run(sc.Name+"/session-snapshot-allops", snapshotBench(maintained, WithAllOptimizations()))
+		// The in-run reference: the test-only full rebuild of the topology
+		// and G_R per snapshot, which no Session takes. BENCH_PR10.json pins
+		// the COW snapshot's lead over it at n=10000.
+		b.Run(sc.Name+"/session-snapshot-full", snapshotBench(func(sess *Session) error {
+			sess.mu.Lock()
+			defer sess.mu.Unlock()
+			_, err := fullRebuildLocked(sess)
+			return err
+		}, WithAllOptimizations()))
 
 		// The §4 batch shape: one mobility tick moves a cluster of 32
 		// nearby nodes a small step. apply-batch repairs the burst with
@@ -878,7 +862,7 @@ func BenchmarkCheckpoint(b *testing.B) {
 // the session's maintained aggregates (live count, edge count, dynamic
 // connectivity, cached radii) against the reference full scan — a
 // component BFS plus a fresh per-node radius fold. Both run on the same
-// dirtied incremental session, and TestSessionObserveLockstep proves
+// dirtied session, and TestSessionObserveLockstep proves
 // they return bitwise-identical TickStats; BENCH_PR9.json pins the
 // maintained path's ≥5× lead at n = 10000.
 func BenchmarkObserve(b *testing.B) {

@@ -1,6 +1,7 @@
 package cbtc
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -8,7 +9,6 @@ import (
 
 	"cbtc/internal/codec"
 	"cbtc/internal/core"
-	"cbtc/internal/graph"
 	"cbtc/internal/radio"
 	"cbtc/internal/spatial"
 )
@@ -91,9 +91,10 @@ func (s *Session) Checkpoint(w io.Writer) error {
 // liveness are copied outright; the node and pruned rows copy only the
 // outer slice headers (installed discovery rows are immutable — every
 // repair installs freshly-built rows); the maintained graphs are
-// copy-on-write clones. Everything else a live session holds (the
-// reconfigurators, the spatial index, the snapshot cache) is derived
-// state that restore rebuilds.
+// copy-on-write clones, with the codec's G section holding the graph
+// before pairwise removal. Everything else a live session holds (the
+// final graph under pairwise removal, the reconfigurators, the spatial
+// index, the snapshot cache) is derived state that restore rebuilds.
 func (s *Session) exportLocked() *codec.SessionState {
 	st := &codec.SessionState{
 		Config: s.eng.fingerprint(),
@@ -108,16 +109,14 @@ func (s *Session) exportLocked() *codec.SessionState {
 			Regrows:      int64(s.stats.Regrows),
 			Repairs:      int64(s.stats.Repairs),
 		},
-		Incremental: s.incremental,
+		Incremental: true,
+		Pruned:      append([][]core.Discovery(nil), s.pruned...),
+		Nalpha:      s.nalpha.Clone(),
+		G:           s.gpre.Clone(),
+		GR:          s.gr.Clone(),
 	}
 	if s.battery != nil {
 		st.Battery = append([]float64(nil), s.battery...)
-	}
-	if s.incremental {
-		st.Pruned = append([][]core.Discovery(nil), s.pruned...)
-		st.Nalpha = s.nalpha.Clone()
-		st.G = s.g.Clone()
-		st.GR = s.gr.Clone()
 	}
 	return st
 }
@@ -140,20 +139,14 @@ func (e *Engine) RestoreSession(r io.Reader) (*Session, error) {
 
 // sessionFromState rebuilds a live session around decoded state. The
 // serialized vectors are adopted directly (the decoder built them fresh);
-// the derived state — per-node reconfigurators, the spatial index — is
-// reconstructed, which is exact: a reconfigurator's state is a pure
-// function of its node's installed neighbor row, and the grid of the
-// positions and liveness vector.
+// the derived state — per-node reconfigurators, the spatial index, the
+// final graph and its Observe state — is reconstructed, which is exact:
+// a reconfigurator's state is a pure function of its node's installed
+// neighbor row, the grid of the positions and liveness vector, and the
+// final graph of the graph before pairwise removal.
 func (e *Engine) sessionFromState(st *codec.SessionState, workers int) (*Session, error) {
 	if err := e.checkFingerprint(st.Config); err != nil {
 		return nil, err
-	}
-	// The decoder ties the incremental section's presence to the flag;
-	// here the flag must also agree with what the (already matched)
-	// fingerprint implies, or the graphs a live session relies on would
-	// be missing.
-	if st.Incremental != !e.opts.PairwiseRemoval {
-		return nil, fmt.Errorf("%w: incremental flag %v under pairwise-removal %v", ErrCheckpointCorrupt, st.Incremental, e.opts.PairwiseRemoval)
 	}
 	if (st.Battery != nil) != e.battery {
 		return nil, fmt.Errorf("%w: battery vector present %v under battery model %v", ErrCheckpointCorrupt, st.Battery != nil, e.battery)
@@ -178,7 +171,6 @@ func (e *Engine) sessionFromState(st *codec.SessionState, workers int) (*Session
 			Regrows:      int(st.Stats.Regrows),
 			Repairs:      int(st.Stats.Repairs),
 		},
-		incremental: st.Incremental,
 	}
 	for id, alive := range st.Alive {
 		if !alive {
@@ -192,23 +184,19 @@ func (e *Engine) sessionFromState(st *codec.SessionState, workers int) (*Session
 	// reports are folded fresh from it each read, so nothing else needs
 	// reconstruction.
 	s.battery = st.Battery
+	// Checkpoints written before pairwise-removal sessions maintained
+	// their graphs carry no graph section; rebuild it from the node rows
+	// exactly as construction does.
+	build := s.buildTopology
 	if st.Incremental {
 		s.pruned = st.Pruned
 		s.nalpha = st.Nalpha
-		s.g = st.G
+		s.gpre = st.G
 		s.gr = st.GR
-		// The O(changed) Observe state is derived, not serialized: the
-		// component structure and the radius cache are pure functions of
-		// the (exactly restored) graph and positions, so re-deriving them
-		// keeps the checkpoint format stable and the restored Observe
-		// byte-identical to the pre-checkpoint one.
-		s.comps = graph.NewLiveComponents(s.g, s.alive)
-		s.radius = make([]float64, n)
-		for id, alive := range s.alive {
-			if alive {
-				s.radius[id] = graph.NodeRadius(s.g, s.pos, id)
-			}
-		}
+		build = s.deriveTopology
+	}
+	if err := build(context.TODO()); err != nil {
+		return nil, err
 	}
 	return s, nil
 }

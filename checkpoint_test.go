@@ -14,9 +14,8 @@ import (
 )
 
 // checkpointStacks are the option stacks the durability layer is gated
-// on: the basic algorithm, the per-node-local optimizations (incremental
-// sessions), the pairwise stack (non-incremental sessions), the
-// asymmetric-removal regime, and tag quantization.
+// on: the basic algorithm, the per-node-local optimizations, the
+// pairwise stack, the asymmetric-removal regime, and tag quantization.
 var checkpointStacks = []struct {
 	name string
 	opts []Option
@@ -30,8 +29,8 @@ var checkpointStacks = []struct {
 
 // requireSessionsIdentical asserts two sessions expose identical state:
 // same snapshot graphs (G and the ground-truth G_R), radii, powers,
-// liveness, statistics — and, for incremental sessions, identical
-// maintained internal graphs including N_α.
+// liveness, statistics, and identical maintained internal graphs
+// including N_α and the graph before pairwise removal.
 func requireSessionsIdentical(t *testing.T, a, b *Session) {
 	t.Helper()
 	if a.Len() != b.Len() {
@@ -48,19 +47,17 @@ func requireSessionsIdentical(t *testing.T, a, b *Session) {
 	if a.Stats() != b.Stats() {
 		t.Fatalf("stats %+v != %+v", a.Stats(), b.Stats())
 	}
-	if a.incremental != b.incremental {
-		t.Fatalf("incremental %v != %v", a.incremental, b.incremental)
+	if !a.nalpha.Equal(b.nalpha) {
+		t.Fatal("maintained N_α differs")
 	}
-	if a.incremental {
-		if !a.nalpha.Equal(b.nalpha) {
-			t.Fatal("maintained N_α differs")
-		}
-		if !a.g.Equal(b.g) {
-			t.Fatal("maintained G differs")
-		}
-		if !a.gr.Equal(b.gr) {
-			t.Fatal("maintained G_R differs")
-		}
+	if !a.gpre.Equal(b.gpre) {
+		t.Fatal("maintained pre-pairwise G differs")
+	}
+	if !a.g.Equal(b.g) {
+		t.Fatal("maintained G differs")
+	}
+	if !a.gr.Equal(b.gr) {
+		t.Fatal("maintained G_R differs")
 	}
 	sa, err := a.Snapshot()
 	if err != nil {
@@ -139,6 +136,55 @@ func TestSessionCheckpointRoundTrip(t *testing.T) {
 			requireSessionMatchesFreshRun(t, eng, restored)
 		})
 	}
+}
+
+// TestPairwiseCheckpointWithoutGraphs restores a pairwise-removal
+// session from a checkpoint in the shape older writers produced for that
+// stack: the incremental flag cleared and no graph section, only the node
+// rows. Restore must rebuild the maintained graphs from the rows, derive
+// the final graph, and leave a session identical to the original — now
+// and after further identical ticks.
+func TestPairwiseCheckpointWithoutGraphs(t *testing.T) {
+	eng, err := New(WithMaxRadius(500), WithAllOptimizations())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := eng.NewSession(context.Background(), someNetwork(23, 40))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := workload.Rand(41)
+	for step := 0; step < 6; step++ {
+		if _, err := sess.ApplyBatch(randomBatch(rng, sess, 4, 1500)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sess.mu.Lock()
+	st := sess.exportLocked()
+	sess.mu.Unlock()
+	st.Incremental = false
+	st.Pruned, st.Nalpha, st.G, st.GR = nil, nil, nil, nil
+	var buf bytes.Buffer
+	if err := codec.EncodeSession(&buf, st); err != nil {
+		t.Fatal(err)
+	}
+	restored, err := eng.RestoreSession(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSessionsIdentical(t, sess, restored)
+	for step := 0; step < 4; step++ {
+		batch := randomBatch(rng, sess, 4, 1500)
+		repA, tsA, errA := sess.Tick(batch)
+		repB, tsB, errB := restored.Tick(batch)
+		if errA != nil || errB != nil {
+			t.Fatalf("tick %d: %v / %v", step, errA, errB)
+		}
+		if !reflect.DeepEqual(repA, repB) || tsA != tsB {
+			t.Fatalf("tick %d: restored session diverges", step)
+		}
+	}
+	requireSessionsIdentical(t, sess, restored)
 }
 
 // TestSessionCheckpointConcurrent checkpoints a session while another

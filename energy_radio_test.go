@@ -207,8 +207,8 @@ func TestShadowingDeterminism(t *testing.T) {
 
 // TestShadowedGroundTruth: under per-link shadowing every executor
 // judges connectivity against one G_R — the maximum-power graph of the
-// propagation authority, not of the nominal power law — on the
-// incremental and the pairwise session stacks alike.
+// propagation authority, not of the nominal power law — on a basic and
+// a pairwise-removal session stack alike.
 func TestShadowedGroundTruth(t *testing.T) {
 	nodes := someNetwork(31, 60)
 	ctx := context.Background()
@@ -604,8 +604,6 @@ func TestRadioOptionConflicts(t *testing.T) {
 		{WithMaxRadius(500), WithBattery(math.NaN(), 1)},
 		{WithMaxRadius(500), WithBattery(10, -1)},
 		{WithMaxRadius(500), WithBattery(10, math.Inf(1))},
-		{WithMaxRadius(500), WithBattery(10, 1), WithPairwiseRemoval(PairwisePolicy(0))},
-		{WithMaxRadius(500), WithBattery(10, 1), WithAllOptimizations()},
 		{WithMaxRadius(500), WithShadowing(-1, 0)},
 		{WithMaxRadius(500), WithShadowing(math.NaN(), 0)},
 	}

@@ -116,9 +116,6 @@ func newEngine(s settings) (*Engine, error) {
 		if math.IsNaN(s.batteryDrain) || math.IsInf(s.batteryDrain, 0) || s.batteryDrain < 0 {
 			return nil, fmt.Errorf("%w: battery drain %v must be non-negative and finite", ErrBadConfig, s.batteryDrain)
 		}
-		if s.opts.PairwiseRemoval {
-			return nil, fmt.Errorf("%w: WithBattery requires the incremental session stack and cannot be combined with pairwise edge removal", ErrBadConfig)
-		}
 		eng.battery = true
 		eng.batteryCap = s.batteryCap
 		eng.batteryDrain = s.batteryDrain

@@ -689,19 +689,20 @@ func (f *Fleet) Advance(ctx context.Context, rounds int, fn TickFunc) error {
 		}
 		net.target.Add(int64(rounds) * int64(net.weight))
 	}
-	return f.advanceLocked(ctx, fn)
+	return f.advanceLocked(ctx, f.nets, fn)
 }
 
-// advanceLocked drives every member with outstanding ticks to its
+// advanceLocked drives every listed member with outstanding ticks to its
 // target on the work-stealing pool: members start on a ready queue,
 // each pool worker leases one member at a time for a bounded quantum,
 // and members with ticks still outstanding requeue at the tail. A
 // member is held by at most one worker at a time, so its tick sequence
-// is serial and its results scheduling-independent.
-func (f *Fleet) advanceLocked(ctx context.Context, fn TickFunc) error {
+// is serial and its results scheduling-independent. Advance lists every
+// member; TickEvents only the ones it ticks.
+func (f *Fleet) advanceLocked(ctx context.Context, nets []*fleetNetwork, fn TickFunc) error {
 	backlog := 0
-	ready := make(chan *fleetNetwork, len(f.nets))
-	for _, net := range f.nets {
+	ready := make(chan *fleetNetwork, len(nets))
+	for _, net := range nets {
 		if !net.quarantined() && net.done.Load() < net.target.Load() {
 			ready <- net
 			backlog++
@@ -828,8 +829,8 @@ func (f *Fleet) Run(ctx context.Context, rounds int, fn TickFunc) (*FleetReport,
 // anything is applied, so an invalid batch returns an ErrBadEvent error
 // with the fleet untouched. Once started the tick is atomic: ctx is
 // checked only at entry, each member's batch applies as one
-// Session.Tick, and per-tick statistics fold into the same accumulators
-// Run feeds.
+// Session.Tick on Advance's lease scheduler, and per-tick statistics
+// fold into the same accumulators Run feeds.
 //
 // TickEvents requires each ticked member to be caught up to its tick
 // target; after a cancelled Run or Advance, complete the remainder
@@ -850,7 +851,7 @@ func (f *Fleet) TickEvents(ctx context.Context, events [][]Event) error {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	var ticked []int
+	var ticked []*fleetNetwork
 	for i, net := range f.nets {
 		if events[i] == nil {
 			continue
@@ -864,66 +865,19 @@ func (f *Fleet) TickEvents(ctx context.Context, events [][]Event) error {
 		if err := net.sess.ValidateBatch(events[i]); err != nil {
 			return fmt.Errorf("network %d: %w", i, err)
 		}
-		ticked = append(ticked, i)
+		ticked = append(ticked, net)
 	}
-	if len(ticked) == 0 {
-		return nil
-	}
-	for _, i := range ticked {
-		f.nets[i].target.Add(1)
-	}
-	var (
-		casMu      sync.Mutex
-		casualties []*fleetNetwork
-	)
-	plan := planShards(f.workers, len(ticked))
-	// Background context: the pre-validated tick must complete atomically,
-	// or a cancellation would strand members mid-batch with their external
+	// Each ticked member owes exactly one tick, which the lease scheduler
+	// runs through the same envelope as a TickFunc-driven tick. The
+	// background context keeps the pre-validated tick atomic: a
+	// cancellation would strand members mid-batch with their external
 	// events lost.
-	err := plan.run(context.Background(), len(ticked), func(_ context.Context, k int) error {
-		i := ticked[k]
-		net := f.nets[i]
-		if err := net.tickEvents(f.hook, f.obsHook, events[i]); err != nil {
-			if err == errMemberQuarantined {
-				casMu.Lock()
-				casualties = append(casualties, net)
-				casMu.Unlock()
-				return nil
-			}
-			return err
-		}
-		return nil
+	for _, net := range ticked {
+		net.target.Add(1)
+	}
+	return f.advanceLocked(context.Background(), ticked, func(net, _ int, _ *rand.Rand, _ *Session) []Event {
+		return events[net]
 	})
-	if err != nil {
-		return err
-	}
-	return quarantineError(casualties)
-}
-
-// tickEvents applies one externally-supplied batch as the member's next
-// tick, with the same panic-quarantine envelope as tickOnce.
-func (n *fleetNetwork) tickEvents(hook TickHook, obs ObserveHook, events []Event) (err error) {
-	tick := int(n.done.Load())
-	defer func() {
-		if r := recover(); r != nil {
-			n.quarantine(tick, r)
-			err = errMemberQuarantined
-		}
-	}()
-	if hook != nil {
-		hook(n.net, tick)
-	}
-	_, ts, err := n.sess.Tick(events)
-	if err != nil {
-		return fmt.Errorf("network %d tick %d: %w", n.net, tick, err)
-	}
-	n.events += int64(len(events))
-	n.series.Observe(ts)
-	if obs != nil {
-		obs(n.net, tick, ts)
-	}
-	n.done.Add(1)
-	return nil
 }
 
 // MemberHealthStatus is one member's health slot in a FleetHealth.

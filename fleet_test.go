@@ -142,8 +142,8 @@ func TestFleetWorkerCountInvariance(t *testing.T) {
 
 // Fuzz-style randomized equivalence: a fleet of M networks must be
 // edge-identical to M sequential Sessions driven by the same tick
-// streams — for the incremental stack and for the pairwise (full
-// rebuild) stack.
+// streams — for a shrink-back stack and for the pairwise-removal
+// stack.
 func TestFleetEqualsSequentialSessions(t *testing.T) {
 	ctx := context.Background()
 	meta := rand.New(rand.NewPCG(77, 1))

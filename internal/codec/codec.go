@@ -141,14 +141,17 @@ type SessionState struct {
 	Nodes []core.NodeResult
 	// Stats are the session's cumulative §4 counters.
 	Stats SessionCounters
-	// Incremental reports whether the incremental-snapshot state below is
-	// present (pairwise removal off).
+	// Incremental reports whether the maintained-graph section below is
+	// present. Current writers always set it; older writers cleared it
+	// for pairwise-removal stacks, whose readers rebuild the graphs from
+	// Nodes.
 	Incremental bool
 	// Pruned is the per-node neighbor row after per-node-local pruning;
 	// nil when Incremental is false.
 	Pruned [][]core.Discovery
-	// Nalpha, G and GR are the maintained graphs; nil when Incremental is
-	// false.
+	// Nalpha, G and GR are the maintained graphs, G being the symmetric
+	// graph before pairwise removal (the final graph is derived from it);
+	// nil when Incremental is false.
 	Nalpha *graph.Digraph
 	G, GR  *graph.Graph
 	// Battery holds each node's residual energy when the engine has a

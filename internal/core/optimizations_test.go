@@ -320,7 +320,6 @@ func TestAllOptimizationStacksPreserveConnectivity(t *testing.T) {
 		{"op1+op2 2π/3", AlphaAsymmetric, Options{ShrinkBack: true, AsymmetricRemoval: true}},
 		{"all 5π/6", AlphaConnectivity, Options{ShrinkBack: true, PairwiseRemoval: true}},
 		{"all 2π/3", AlphaAsymmetric, Options{ShrinkBack: true, AsymmetricRemoval: true, PairwiseRemoval: true}},
-		{"noncontrib 5π/6", AlphaConnectivity, Options{ShrinkBack: true, NonContributing: true}},
 	}
 	for _, st := range stacks {
 		t.Run(st.name, func(t *testing.T) {

@@ -3,7 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"cbtc/internal/geom"
 	"cbtc/internal/graph"
@@ -62,9 +62,9 @@ type EdgeID struct {
 	MinID int
 }
 
-// edgeID computes eid(u,v) for the placement.
-func edgeID(pos []geom.Point, u, v int) EdgeID {
-	id := EdgeID{Dist: pos[u].Dist(pos[v])}
+// rowEdgeID builds eid(u,v) from the already-measured distance d(u,v).
+func rowEdgeID(u, v int, d float64) EdgeID {
+	id := EdgeID{Dist: d}
 	if u > v {
 		id.MaxID, id.MinID = u, v
 	} else {
@@ -84,124 +84,150 @@ func (a EdgeID) Less(b EdgeID) bool {
 	return a.MinID < b.MinID
 }
 
-// redundancy records, for every redundant edge, which endpoints detected
-// it (served as the apex u of Definition 3.5).
-type redundancy struct {
-	edges map[graph.Edge]bool
-	// list holds the redundant edges in canonical detection order — apex
-	// id ascending, then the apex's ascending neighbor row. The removal
-	// passes iterate list, never the map, so removal decisions and the
-	// reported edge order are order-stable by construction.
-	list []graph.Edge
-	// atApex[u] holds the neighbors v for which u detected (u,v) as
-	// redundant.
-	atApex []map[int]bool
+// Redundancy is the per-node state of pairwise edge removal over a
+// pre-removal graph. Definition 3.5 is decided at the apex from its own
+// neighbor row, and every removal policy consults only the longest
+// non-redundant edge at each endpoint (Theorem 3.6), so both are per-node
+// quantities: a caller that changes some rows of the graph refreshes
+// Detect at exactly those nodes and Measure at those nodes plus their
+// neighbors, and every other entry stays valid.
+type Redundancy struct {
+	// Apex[u] lists, ascending, the neighbors v for which u detected
+	// (u,v) as redundant (u served as the apex of Definition 3.5).
+	Apex [][]int32
+	// Longest[u] is the length of u's longest incident edge that neither
+	// endpoint detected as redundant; 0 when there is none.
+	Longest []float64
 }
 
-// redundantEdges evaluates Definition 3.5 over the whole graph: (u,v) is
-// redundant if u has another neighbor w with ∠vuw < π/3 and
-// eid(u,w) < eid(u,v). The angle comparison is strict (an Eps guard
-// keeps exactly-π/3 configurations non-redundant, as the triangle
-// argument of the proof requires).
-func redundantEdges(g *graph.Graph, pos []geom.Point) redundancy {
-	red := redundancy{
-		edges:  make(map[graph.Edge]bool),
-		atApex: make([]map[int]bool, g.Len()),
+// NewRedundancy evaluates Definition 3.5 and the longest non-redundant
+// edge at every node of g.
+func NewRedundancy(g *graph.Graph, pos []geom.Point) *Redundancy {
+	r := &Redundancy{Apex: make([][]int32, g.Len()), Longest: make([]float64, g.Len())}
+	for u := range r.Apex {
+		r.Detect(g, pos, u)
 	}
+	for u := range r.Longest {
+		r.Measure(g, pos, u)
+	}
+	return r
+}
+
+// Grow appends k nodes with no detections, matching graph.Grow.
+func (r *Redundancy) Grow(k int) {
+	r.Apex = append(r.Apex, make([][]int32, k)...)
+	r.Longest = append(r.Longest, make([]float64, k)...)
+}
+
+// detectBuf sizes the stack buffer Detect keeps each neighbor's bearing
+// and distance in; larger rows spill to the heap.
+const detectBuf = 32
+
+// Detect recomputes Apex[u] from u's row of g: (u,v) is redundant at u
+// if u has another neighbor w with ∠vuw < π/3 and eid(u,w) < eid(u,v).
+// The angle comparison is strict (an Eps guard keeps exactly-π/3
+// configurations non-redundant, as the triangle argument of the proof
+// requires).
+func (r *Redundancy) Detect(g *graph.Graph, pos []geom.Point, u int) {
 	const third = math.Pi / 3
-	for u := 0; u < g.Len(); u++ {
-		red.atApex[u] = make(map[int]bool)
-		nbrs := g.Row(u)
-		for _, v32 := range nbrs {
-			v := int(v32)
-			eidUV := edgeID(pos, u, v)
-			for _, w32 := range nbrs {
-				w := int(w32)
-				if w == v {
-					continue
-				}
-				angle := geom.AngularDist(pos[u].Bearing(pos[v]), pos[u].Bearing(pos[w]))
-				if angle < third-geom.Eps && edgeID(pos, u, w).Less(eidUV) {
-					e := graph.NewEdge(u, v)
-					if !red.edges[e] {
-						red.edges[e] = true
-						red.list = append(red.list, e)
-					}
-					red.atApex[u][v] = true
-					break
-				}
+	row := g.Row(u)
+	var buf [2 * detectBuf]float64
+	geo := buf[:0] // bearing, distance per row entry
+	for _, v := range row {
+		geo = append(geo, pos[u].Bearing(pos[v]), pos[u].Dist(pos[v]))
+	}
+	apex := r.Apex[u][:0]
+	for i, v := range row {
+		eidUV := rowEdgeID(u, int(v), geo[2*i+1])
+		for j, w := range row {
+			if j != i && rowEdgeID(u, int(w), geo[2*j+1]).Less(eidUV) &&
+				geom.AngularDist(geo[2*i], geo[2*j]) < third-geom.Eps {
+				apex = append(apex, v)
+				break
 			}
 		}
 	}
-	return red
+	r.Apex[u] = apex
+}
+
+// Measure recomputes Longest[u] from u's row of g and the current
+// detections at u and at each of its neighbors.
+func (r *Redundancy) Measure(g *graph.Graph, pos []geom.Point, u int) {
+	longest := 0.0
+	for _, v := range g.Row(u) {
+		if !r.redundant(u, int(v)) {
+			longest = max(longest, pos[u].Dist(pos[v]))
+		}
+	}
+	r.Longest[u] = longest
+}
+
+// detected reports whether u detected (u,v) as redundant.
+func (r *Redundancy) detected(u, v int) bool {
+	_, found := slices.BinarySearch(r.Apex[u], int32(v))
+	return found
+}
+
+func (r *Redundancy) redundant(u, v int) bool { return r.detected(u, v) || r.detected(v, u) }
+
+// Drops reports whether policy removes the edge (u,v) of the pre-removal
+// graph — the single keep/drop rule of §3.3. An endpoint benefits from
+// the removal when the edge is longer than its longest non-redundant
+// edge; a node whose incident edges are all redundant (Longest 0) never
+// benefits, so it keeps them all (defensive: the theorem implies this
+// cannot happen for non-isolated nodes, but floating-point edge cases
+// must not isolate anyone). The zero policy is PairwiseLengthFiltered.
+func (r *Redundancy) Drops(policy PairwisePolicy, pos []geom.Point, u, v int) bool {
+	atU, atV := r.detected(u, v), r.detected(v, u)
+	if !atU && !atV {
+		return false
+	}
+	d := pos[u].Dist(pos[v])
+	benefits := func(x int) bool { return r.Longest[x] > 0 && d > r.Longest[x] }
+	switch policy {
+	case PairwiseRemoveAll:
+		return true
+	case PairwiseEitherEndpoint:
+		return benefits(u) || benefits(v)
+	case PairwiseBothEndpoints:
+		return benefits(u) && benefits(v)
+	default: // PairwiseLengthFiltered: the detecting apex must benefit
+		return (atU && benefits(u)) || (atV && benefits(v))
+	}
+}
+
+// Prune returns g without the edges policy drops, together with those
+// edges in canonical order (for reporting). r must be current for g.
+func (r *Redundancy) Prune(g *graph.Graph, pos []geom.Point, policy PairwisePolicy) (*graph.Graph, []graph.Edge) {
+	out := g.Clone()
+	var removed []graph.Edge
+	for u := 0; u < g.Len(); u++ {
+		for _, v := range g.Row(u) {
+			if int(v) > u && r.Drops(policy, pos, u, int(v)) {
+				out.RemoveEdge(u, int(v))
+				removed = append(removed, graph.Edge{U: u, V: int(v)})
+			}
+		}
+	}
+	return out, removed
 }
 
 // RedundantEdges returns the set of redundant edges of g under
 // Definition 3.5.
 func RedundantEdges(g *graph.Graph, pos []geom.Point) map[graph.Edge]bool {
-	return redundantEdges(g, pos).edges
+	r := NewRedundancy(g, pos)
+	out := make(map[graph.Edge]bool)
+	for u, apex := range r.Apex {
+		for _, v := range apex {
+			out[graph.NewEdge(u, int(v))] = true
+		}
+	}
+	return out
 }
 
 // PairwiseRemoval applies the pairwise edge removal optimization to the
 // symmetric graph g and returns the pruned graph together with the edges
 // it removed (sorted canonically, for reporting).
 func PairwiseRemoval(g *graph.Graph, pos []geom.Point, policy PairwisePolicy) (*graph.Graph, []graph.Edge) {
-	red := redundantEdges(g, pos)
-	out := g.Clone()
-	var removed []graph.Edge
-
-	if policy == PairwiseRemoveAll {
-		for _, e := range red.list {
-			out.RemoveEdge(e.U, e.V)
-			removed = append(removed, e)
-		}
-		sortEdges(removed)
-		return out, removed
-	}
-
-	// Longest non-redundant incident edge per node. A node whose
-	// incident edges are all redundant keeps them all (defensive: the
-	// theorem implies this cannot happen for non-isolated nodes, but
-	// floating-point edge cases must not isolate anyone).
-	longestNR := make([]float64, g.Len())
-	for u := 0; u < g.Len(); u++ {
-		g.EachNeighbor(u, func(v int) {
-			if !red.edges[graph.NewEdge(u, v)] {
-				if d := pos[u].Dist(pos[v]); d > longestNR[u] {
-					longestNR[u] = d
-				}
-			}
-		})
-	}
-	benefits := func(u int, d float64) bool {
-		return longestNR[u] > 0 && d > longestNR[u]
-	}
-	for _, e := range red.list {
-		d := pos[e.U].Dist(pos[e.V])
-		var drop bool
-		switch policy {
-		case PairwiseEitherEndpoint:
-			drop = benefits(e.U, d) || benefits(e.V, d)
-		case PairwiseBothEndpoints:
-			drop = benefits(e.U, d) && benefits(e.V, d)
-		default: // PairwiseLengthFiltered: the detecting apex must benefit
-			drop = (red.atApex[e.U][e.V] && benefits(e.U, d)) ||
-				(red.atApex[e.V][e.U] && benefits(e.V, d))
-		}
-		if drop {
-			out.RemoveEdge(e.U, e.V)
-			removed = append(removed, e)
-		}
-	}
-	sortEdges(removed)
-	return out, removed
-}
-
-func sortEdges(edges []graph.Edge) {
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].U != edges[j].U {
-			return edges[i].U < edges[j].U
-		}
-		return edges[i].V < edges[j].V
-	})
+	return NewRedundancy(g, pos).Prune(g, pos, policy)
 }

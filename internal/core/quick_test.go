@@ -164,7 +164,6 @@ func TestQuickTransformsDoNotMutate(t *testing.T) {
 		}
 		before := exec.Clone()
 		_ = ShrinkBack(exec)
-		_ = RemoveNonContributing(exec)
 		if _, err := BuildTopology(exec, Options{ShrinkBack: true, PairwiseRemoval: true}); err != nil {
 			return false
 		}

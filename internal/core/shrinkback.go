@@ -121,52 +121,3 @@ func samePower(a, b float64) bool {
 	}
 	return diff <= distTieTol*(1+scale)
 }
-
-// RemoveNonContributing is the further degree-reduction the paper
-// mentions at the end of §3.1: any neighbor whose removal leaves the
-// coverage unchanged may be dropped, not just whole trailing power
-// levels. Neighbors are considered farthest-first so the longest edges
-// go first. Connectivity is preserved by the same argument as
-// Theorem 3.1 (the proof depends only on cone coverage).
-//
-// This is not part of the paper's Table 1 stacks; it exists for the
-// degree-minimization ablation.
-func RemoveNonContributing(e *Execution) *Execution {
-	out := e.Clone()
-	for u := range out.Nodes {
-		out.Nodes[u].Neighbors = removeNonContributing(out.Nodes[u].Neighbors, e.Alpha)
-	}
-	return out
-}
-
-func removeNonContributing(neighbors []Discovery, alpha float64) []Discovery {
-	kept := append([]Discovery(nil), neighbors...)
-	sort.Slice(kept, func(i, j int) bool { return kept[i].Dist > kept[j].Dist }) // farthest first
-
-	dirsOf := func(list []Discovery) []float64 {
-		ds := make([]float64, len(list))
-		for i, nb := range list {
-			ds[i] = nb.Dir
-		}
-		return ds
-	}
-	full := geom.Coverage(dirsOf(kept), alpha)
-
-	for i := 0; i < len(kept); {
-		without := make([]Discovery, 0, len(kept)-1)
-		without = append(without, kept[:i]...)
-		without = append(without, kept[i+1:]...)
-		if geom.Coverage(dirsOf(without), alpha).Equal(full, 10*geom.Eps) {
-			kept = without
-			continue // re-test index i, now a different neighbor
-		}
-		i++
-	}
-	sort.Slice(kept, func(i, j int) bool {
-		if kept[i].Power != kept[j].Power {
-			return kept[i].Power < kept[j].Power
-		}
-		return kept[i].ID < kept[j].ID
-	})
-	return kept
-}

@@ -22,10 +22,6 @@ type Options struct {
 	// PairwisePolicy selects the op3 removal rule; the zero value means
 	// PairwiseLengthFiltered, the paper's practical rule.
 	PairwisePolicy PairwisePolicy
-	// NonContributing additionally drops any neighbor that does not
-	// contribute to cone coverage (the degree-reduction note at the end
-	// of §3.1). Not part of the paper's Table 1 stacks.
-	NonContributing bool
 }
 
 // Validate checks option consistency against the cone angle.
@@ -42,7 +38,7 @@ type Topology struct {
 	// Exec is the (possibly shrunk) execution the graph was derived from.
 	Exec *Execution
 	// Nalpha is the directed neighbor relation after per-node pruning
-	// (shrink-back / non-contributing removal).
+	// (shrink-back).
 	Nalpha *graph.Digraph
 	// G is the final symmetric graph: E_α, E^s_α, E⁻_α or the pairwise-
 	// pruned variant, depending on Options.
@@ -70,9 +66,6 @@ func BuildTopology(e *Execution, opts Options) (*Topology, error) {
 	if opts.ShrinkBack {
 		exec = ShrinkBack(exec)
 	}
-	if opts.NonContributing {
-		exec = RemoveNonContributing(exec)
-	}
 
 	n := exec.Nalpha()
 	var g *graph.Graph
@@ -85,11 +78,7 @@ func BuildTopology(e *Execution, opts Options) (*Topology, error) {
 	gpre := g
 	var removed []graph.Edge
 	if opts.PairwiseRemoval {
-		policy := opts.PairwisePolicy
-		if policy == 0 {
-			policy = PairwiseLengthFiltered
-		}
-		g, removed = PairwiseRemoval(g, exec.Pos, policy)
+		g, removed = PairwiseRemoval(g, exec.Pos, opts.PairwisePolicy)
 	}
 
 	return &Topology{

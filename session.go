@@ -29,6 +29,12 @@ var ErrBadEvent = errors.New("cbtc: invalid session event")
 // recomputations are fanned across the engine's worker pool
 // (WithWorkers); the repaired state is identical at every worker count.
 //
+// Every optimization stack takes the same repair path. Pairwise edge
+// removal (§3.3) is local too: redundancy is decided at the apex from its
+// own row (Definition 3.5) and the removal policies consult only the
+// longest non-redundant edge at each endpoint, so a repair re-decides
+// only the edges within one hop of the nodes whose rows it changed.
+//
 // The maintained fixed point is exact: at any moment the live topology
 // equals what a fresh Engine.Run over the current live placement would
 // produce, so all of the paper's guarantees (connectivity for α ≤ 5π/6,
@@ -54,31 +60,33 @@ type Session struct {
 	stats  SessionStats
 	cached *Result
 
-	// Incremental-snapshot state, maintained only when the optimization
-	// stack is per-node local (incremental == true, i.e. pairwise removal
-	// is off). Repairs patch exactly the recomputed nodes' arcs; Snapshot
-	// then takes copy-on-write clones of the maintained graphs — O(live
-	// nodes) slice-header copies — instead of rebuilding the full
-	// topology and ground-truth G_R from scratch, and later repairs copy
-	// only the rows they actually touch.
-	incremental bool
-	pruned      [][]core.Discovery // per-node neighbor lists after op1/degree pruning
-	nalpha      *graph.Digraph     // pruned directed relation N_α
-	g           *graph.Graph       // its symmetrization per the optimization stack
-	gr          *graph.Graph       // G_R over live nodes; departed nodes isolated
-	grScratch   []int              // reusable max-power neighbor buffer
+	// The maintained topology. Repairs patch exactly the recomputed
+	// nodes' arcs into N_α and its symmetrization gpre; under pairwise
+	// removal repairPairwise then re-decides the §3.3 rule near the
+	// change to patch the final graph g. Snapshot takes copy-on-write
+	// clones of these graphs — O(live nodes) slice-header copies —
+	// instead of rebuilding the topology and ground-truth G_R from
+	// scratch, and later repairs copy only the rows they actually touch.
+	pruned    [][]core.Discovery // per-node neighbor lists after op1
+	nalpha    *graph.Digraph     // pruned directed relation N_α
+	gpre      *graph.Graph       // its symmetrization per the optimization stack
+	g         *graph.Graph       // final topology G; gpre itself without pairwise removal
+	red       *core.Redundancy   // §3.3 state over gpre; nil without pairwise removal
+	gr        *graph.Graph       // G_R over live nodes; departed nodes isolated
+	grScratch []int              // reusable max-power neighbor buffer
+	rowBuf    []int32            // reusable row copy for repairPairwise
 
 	// live is the maintained live-node count, so LiveCount and Observe
 	// never rescan the liveness vector.
 	live int
 
-	// O(changed) Observe state, maintained on incremental stacks only:
-	// comps tracks live connectivity across repairs (union-find with
-	// rebuild-on-split), and radius caches each live node's NodeRadius
-	// over g, recomputed only for nodes whose adjacency rows a repair
-	// touched. The pend* slices accumulate one repair's delta — filled by
-	// depart and patchArcs, drained by applyObserveDelta at the end of
-	// recompute.
+	// O(changed) Observe state: comps tracks live connectivity across
+	// repairs (union-find with rebuild-on-split), and radius caches each
+	// live node's NodeRadius over g, recomputed only for nodes whose
+	// adjacency rows a repair touched. The pend* slices accumulate one
+	// repair's delta — filled by depart and patchArcs (an edge diff of
+	// gpre, which repairPairwise turns into the diff of g), drained by
+	// applyObserveDelta at the end of recompute.
 	comps      *graph.LiveComponents
 	radius     []float64
 	pendDepart []int
@@ -91,13 +99,13 @@ type Session struct {
 	mark    []int
 	markGen int
 
-	// Battery state, allocated only for engines built WithBattery (which
-	// implies the incremental stack). battery[u] is node u's residual
-	// energy; Tick drains each live node by drain × p(radius[u]) and
-	// clamps at zero. Observe folds the residual moments in one ascending
-	// pass — a pure function of (battery, alive), so restored sessions
-	// observe bitwise-identically — which stays within the battery tick's
-	// cost model: the drain itself is already Θ(live) per tick.
+	// Battery state, allocated only for engines built WithBattery.
+	// battery[u] is node u's residual energy; Tick drains each live node
+	// by drain × p(radius[u]) and clamps at zero. Observe folds the
+	// residual moments in one ascending pass — a pure function of
+	// (battery, alive), so restored sessions observe bitwise-identically —
+	// which stays within the battery tick's cost model: the drain itself
+	// is already Θ(live) per tick.
 	battery []float64
 }
 
@@ -179,14 +187,13 @@ func (e *Engine) newProtocolSession(ctx context.Context, nodes []Point, sim SimO
 // protocol constructors.
 func (e *Engine) sessionFromExec(ctx context.Context, nodes []Point, exec *core.Execution, workers int) (*Session, error) {
 	s := &Session{
-		eng:         e,
-		workers:     workers,
-		pos:         append([]Point(nil), nodes...),
-		alive:       make([]bool, len(nodes)),
-		nodes:       exec.Nodes,
-		recs:        make([]*core.Reconfigurator, len(nodes)),
-		idx:         spatial.New(nodes, e.prop.MaxLinkRadius()),
-		incremental: !e.opts.PairwiseRemoval,
+		eng:     e,
+		workers: workers,
+		pos:     append([]Point(nil), nodes...),
+		alive:   make([]bool, len(nodes)),
+		nodes:   exec.Nodes,
+		recs:    make([]*core.Reconfigurator, len(nodes)),
+		idx:     spatial.New(nodes, e.prop.MaxLinkRadius()),
 	}
 	if e.battery {
 		s.battery = make([]float64, len(nodes))
@@ -199,43 +206,71 @@ func (e *Engine) sessionFromExec(ctx context.Context, nodes []Point, exec *core.
 		s.recs[i] = core.NewReconfigurator(e.alpha, e.model, exec.Nodes[i].Neighbors)
 	}
 	s.live = len(nodes)
-	if s.incremental {
-		n := len(nodes)
-		s.pruned = make([][]core.Discovery, n)
-		pruneWorkers := core.ResolveWorkers(workers, n)
-		// The per-node prune (coverage arithmetic when shrink-back is on)
-		// is embarrassingly parallel, like the oracle itself.
-		if err := core.ParallelRange(ctx, n, pruneWorkers, func(_, u int) {
-			s.pruned[u] = e.pruneNeighbors(exec.Nodes[u].Neighbors)
-		}); err != nil {
-			return nil, err
-		}
-		rows := make([][]int32, n)
-		for u := range s.pruned {
-			rows[u] = core.SuccessorRow(nil, s.pruned[u])
-		}
-		s.nalpha = graph.NewDigraphFromRows(rows)
-		if e.opts.AsymmetricRemoval {
-			s.g = s.nalpha.MutualSubgraph()
-		} else {
-			s.g = s.nalpha.SymmetricClosure()
-		}
-		// Reuse the session's own grid — it indexes exactly these nodes.
-		s.gr = core.MaxPowerGraphParallelIndexed(nodes, e.prop, s.idx, workers)
-		s.comps = graph.NewLiveComponents(s.g, s.alive)
-		s.radius = make([]float64, n)
-		if err := core.ParallelRange(ctx, n, pruneWorkers, func(_, u int) {
-			s.radius[u] = graph.NodeRadius(s.g, nodes, u)
-		}); err != nil {
-			return nil, err
-		}
+	if err := s.buildTopology(ctx); err != nil {
+		return nil, err
 	}
 	return s, nil
 }
 
+// buildTopology derives every maintained graph from the installed node
+// rows and liveness: the per-node prune, N_α and its symmetrization, and
+// the ground-truth G_R over the live index with departed nodes isolated,
+// then the final graph (deriveTopology). Construction and the restore of
+// a checkpoint without a graph section share it.
+func (s *Session) buildTopology(ctx context.Context) error {
+	e := s.eng
+	n := len(s.pos)
+	s.pruned = make([][]core.Discovery, n)
+	// The per-node prune (coverage arithmetic when shrink-back is on) is
+	// embarrassingly parallel, like the oracle itself.
+	if err := core.ParallelRange(ctx, n, core.ResolveWorkers(s.workers, n), func(_, u int) {
+		s.pruned[u] = e.pruneNeighbors(s.nodes[u].Neighbors)
+	}); err != nil {
+		return err
+	}
+	rows := make([][]int32, n)
+	for u := range s.pruned {
+		rows[u] = core.SuccessorRow(nil, s.pruned[u])
+	}
+	s.nalpha = graph.NewDigraphFromRows(rows)
+	if e.opts.AsymmetricRemoval {
+		s.gpre = s.nalpha.MutualSubgraph()
+	} else {
+		s.gpre = s.nalpha.SymmetricClosure()
+	}
+	// Reuse the session's own grid — it indexes exactly the live nodes.
+	s.gr = core.MaxPowerGraphParallelIndexed(s.pos, e.prop, s.idx, s.workers)
+	for u, alive := range s.alive {
+		if !alive {
+			s.gr.IsolateNode(u)
+		}
+	}
+	return s.deriveTopology(ctx)
+}
+
+// deriveTopology derives the final graph and the O(changed) Observe state
+// from gpre: under pairwise removal the §3.3 redundancy state and the
+// pruned graph (without it g is gpre itself), then the live component
+// structure and the per-node radius cache. All of it is a pure function
+// of gpre and the positions, so checkpoints serialize none of it and a
+// restored session observes byte-identically.
+func (s *Session) deriveTopology(ctx context.Context) error {
+	s.g = s.gpre
+	if s.eng.opts.PairwiseRemoval {
+		s.red = core.NewRedundancy(s.gpre, s.pos)
+		s.g, _ = s.red.Prune(s.gpre, s.pos, s.eng.opts.PairwisePolicy)
+	}
+	s.comps = graph.NewLiveComponents(s.g, s.alive)
+	n := len(s.pos)
+	s.radius = make([]float64, n)
+	return core.ParallelRange(ctx, n, core.ResolveWorkers(s.workers, n), func(_, u int) {
+		s.radius[u] = graph.NodeRadius(s.g, s.pos, u)
+	})
+}
+
 // pruneNeighbors applies the engine's per-node-local optimization,
-// shrink-back (op1), as BuildTopology does. Pairwise removal is global
-// and never goes through here.
+// shrink-back (op1), as BuildTopology does. Pairwise removal acts on the
+// symmetrized graph and never goes through here.
 func (e *Engine) pruneNeighbors(nbrs []core.Discovery) []core.Discovery {
 	if e.opts.ShrinkBack {
 		nbrs = core.ShrinkNeighbors(nbrs, e.alpha)
@@ -318,17 +353,19 @@ func (s *Session) admit(p Point) int {
 	s.recs = append(s.recs, nil)
 	s.idx.Add(id, p)
 	s.live++
-	if s.incremental {
-		s.pruned = append(s.pruned, nil)
-		s.nalpha.Grow(1)
+	s.pruned = append(s.pruned, nil)
+	s.nalpha.Grow(1)
+	s.gpre.Grow(1)
+	if s.red != nil {
 		s.g.Grow(1)
-		s.gr.Grow(1)
-		s.patchGR(id)
-		// The newcomer starts as a singleton component with radius 0; the
-		// recompute's edge patches union and refresh it.
-		s.comps.Join(id)
-		s.radius = append(s.radius, 0)
+		s.red.Grow(1)
 	}
+	s.gr.Grow(1)
+	s.patchGR(id)
+	// The newcomer starts as a singleton component with radius 0; the
+	// recompute's edge patches union and refresh it.
+	s.comps.Join(id)
+	s.radius = append(s.radius, 0)
 	if s.battery != nil {
 		s.battery = append(s.battery, s.eng.batteryCap)
 	}
@@ -342,13 +379,11 @@ func (s *Session) depart(id int) {
 	s.alive[id] = false
 	s.idx.Remove(id)
 	s.live--
-	if s.incremental {
-		s.gr.IsolateNode(id)
-		// The topology-edge removals themselves are recorded by patchArcs
-		// during the recompute; the departure is folded into the component
-		// structure alongside them.
-		s.pendDepart = append(s.pendDepart, id)
-	}
+	s.gr.IsolateNode(id)
+	// The topology-edge removals themselves are recorded by patchArcs
+	// during the recompute; the departure is folded into the component
+	// structure alongside them.
+	s.pendDepart = append(s.pendDepart, id)
 	s.stats.Leaves++
 }
 
@@ -358,10 +393,8 @@ func (s *Session) relocate(id int, p Point) Point {
 	old := s.pos[id]
 	s.pos[id] = p
 	s.idx.Move(id, p)
-	if s.incremental {
-		s.gr.IsolateNode(id)
-		s.patchGR(id)
-	}
+	s.gr.IsolateNode(id)
+	s.patchGR(id)
 	s.stats.Moves++
 	return old
 }
@@ -447,70 +480,58 @@ func (s *Session) patchGR(id int) {
 // G_R, so Result.PreservesConnectivity keeps its meaning. Snapshots are
 // cached between events.
 //
-// When the optimization stack is per-node local (pairwise removal off),
-// the snapshot is assembled from the incrementally-maintained graphs —
-// repairs only ever rebuilt the recomputed nodes' arcs — and costs one
-// clone instead of a full topology + G_R rebuild. With pairwise removal
-// (a global transformation) the full rebuild runs as before.
+// The snapshot is assembled from the maintained graphs — repairs only
+// ever rebuilt the recomputed nodes' arcs and, under pairwise removal,
+// re-decided the edges around them — and costs copy-on-write clones
+// instead of a full topology + G_R rebuild. The error is always nil.
 func (s *Session) Snapshot() (*Result, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.snapshotLocked()
+	return s.snapshotLocked(), nil
 }
 
-// snapshotLocked is Snapshot with the session lock already held; Tick
-// and Observe use it for their atomic apply-and-observe paths.
-func (s *Session) snapshotLocked() (*Result, error) {
+// snapshotLocked is Snapshot with the session lock already held.
+func (s *Session) snapshotLocked() *Result {
 	if s.cached != nil {
-		return s.cached, nil
-	}
-	if s.incremental {
-		exec := &core.Execution{
-			Alpha: s.eng.alpha,
-			Model: s.eng.model,
-			Pos:   append([]Point(nil), s.pos...),
-			Nodes: make([]core.NodeResult, len(s.pos)),
-		}
-		for u := range exec.Nodes {
-			exec.Nodes[u] = core.NodeResult{
-				Neighbors: s.pruned[u],
-				GrowPower: s.nodes[u].GrowPower,
-				Boundary:  s.nodes[u].Boundary,
-			}
-		}
-		g := s.g.Clone()
-		topo := &core.Topology{
-			Exec:   exec,
-			Nalpha: s.nalpha.Clone(),
-			G:      g,
-			Gpre:   g, // equal when pairwise removal is off, as in BuildTopology
-			Opts:   s.eng.opts,
-		}
-		// The radius cache already holds NodeRadius(g, pos, u) for every
-		// slot (0 for departed nodes), so the snapshot folds it instead of
-		// re-deriving the radius/degree tables from scratch — the assembled
-		// Result is bitwise identical either way.
-		s.cached = newResultFromRadii(s.pos, s.eng.model, topo, s.gr.Clone(), s.radius)
-		return s.cached, nil
+		return s.cached
 	}
 	exec := &core.Execution{
 		Alpha: s.eng.alpha,
 		Model: s.eng.model,
 		Pos:   append([]Point(nil), s.pos...),
-		Nodes: append([]core.NodeResult(nil), s.nodes...),
+		Nodes: make([]core.NodeResult, len(s.pos)),
 	}
-	topo, err := core.BuildTopology(exec, s.eng.opts)
-	if err != nil {
-		return nil, fmt.Errorf("cbtc: session snapshot: %w", err)
-	}
-	gr := core.MaxPowerGraphParallel(s.pos, s.eng.prop, s.workers)
-	for u := range s.alive {
-		if !s.alive[u] {
-			gr.IsolateNode(u)
+	for u := range exec.Nodes {
+		exec.Nodes[u] = core.NodeResult{
+			Neighbors: s.pruned[u],
+			GrowPower: s.nodes[u].GrowPower,
+			Boundary:  s.nodes[u].Boundary,
 		}
 	}
-	s.cached = newResultWithGR(s.pos, s.eng.model, topo, gr)
-	return s.cached, nil
+	g := s.g.Clone()
+	topo := &core.Topology{
+		Exec:   exec,
+		Nalpha: s.nalpha.Clone(),
+		G:      g,
+		Gpre:   g, // equal when pairwise removal is off, as in BuildTopology
+		Opts:   s.eng.opts,
+	}
+	if s.red != nil {
+		topo.Gpre = s.gpre.Clone()
+		for u := range s.pos {
+			for _, v := range s.gpre.Row(u) {
+				if int(v) > u && !s.g.HasEdge(u, int(v)) {
+					topo.RemovedRedundant = append(topo.RemovedRedundant, graph.Edge{U: u, V: int(v)})
+				}
+			}
+		}
+	}
+	// The radius cache already holds NodeRadius(g, pos, u) for every slot
+	// (0 for departed nodes), so the snapshot folds it instead of
+	// re-deriving the radius/degree tables from scratch — the assembled
+	// Result is bitwise identical either way.
+	s.cached = newResultFromRadii(s.pos, s.eng.model, topo, s.gr.Clone(), s.radius)
+	return s.cached
 }
 
 // Stats returns the cumulative reconfiguration statistics.
@@ -582,33 +603,24 @@ func (ts *TickSeries) Merge(o *TickSeries) {
 	ts.EnergyVar.Merge(&o.EnergyVar)
 }
 
-// Observe computes the session's current TickStats. For engines whose
-// optimization stack is per-node local the read is O(changed): repairs
-// maintain the component structure, the live/edge counters and the
-// per-node radius cache, so observing costs the maintained counters
-// plus one flat summation over the cached values — no BFS, no radius
-// recomputation, no Result assembly. With pairwise removal (a global
-// transformation with no per-node delta) it derives the stats from the
-// (cached) Snapshot via the reference full-scan path.
+// Observe computes the session's current TickStats. The read is
+// O(changed): repairs maintain the component structure, the live/edge
+// counters and the per-node radius cache, so observing costs the
+// maintained counters plus one flat summation over the cached values —
+// no BFS, no radius recomputation, no Result assembly. The error is
+// always nil.
 func (s *Session) Observe() (TickStats, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.observeLocked()
+	return s.observeLocked(), nil
 }
 
-func (s *Session) observeLocked() (TickStats, error) {
-	if !s.incremental {
-		snap, err := s.snapshotLocked()
-		if err != nil {
-			return TickStats{}, err
-		}
-		return observeGraph(snap.G, s.alive, s.pos, s.nodes), nil
-	}
+func (s *Session) observeLocked() TickStats {
 	ts := TickStats{Live: s.live, Edges: s.g.EdgeCount(), Components: s.comps.Count()}
-	// The radius and energy sums fold the cached per-node values in the
-	// same ascending order as the reference scan, so the incremental
-	// stats are bitwise identical to observeGraph's — not just close —
-	// and stay so across checkpoint/restore.
+	// The radius and energy sums fold the cached per-node values in
+	// ascending id order, as a from-scratch scan over the snapshot would,
+	// so the stats are bitwise identical to the reference — not just
+	// close — and stay so across checkpoint/restore.
 	for u, alive := range s.alive {
 		if !alive {
 			continue
@@ -621,7 +633,7 @@ func (s *Session) observeLocked() (TickStats, error) {
 		ts.AvgRadius /= float64(ts.Live)
 	}
 	s.observeBattery(&ts)
-	return ts, nil
+	return ts
 }
 
 // observeBattery fills the battery fields of ts by folding the residual
@@ -718,56 +730,6 @@ func (s *Session) Residual(id int) float64 {
 	return s.battery[id]
 }
 
-// observeGraph computes TickStats from scratch over g — the reference
-// full-scan path: a component BFS plus a fresh per-node radius pass.
-// The pairwise-removal stack observes through it every tick; on
-// incremental stacks it is the oracle the maintained path is tested
-// (and benchmarked) against.
-func observeGraph(g *graph.Graph, alive []bool, pos []Point, nodes []core.NodeResult) TickStats {
-	ts := TickStats{Edges: g.EdgeCount(), Components: liveComponents(g, alive)}
-	for u, a := range alive {
-		if !a {
-			continue
-		}
-		ts.Live++
-		ts.AvgRadius += graph.NodeRadius(g, pos, u)
-		ts.Energy += nodes[u].GrowPower
-	}
-	if ts.Live > 0 {
-		ts.AvgDegree = 2 * float64(ts.Edges) / float64(ts.Live)
-		ts.AvgRadius /= float64(ts.Live)
-	}
-	return ts
-}
-
-// liveComponents counts the connected components of g restricted to the
-// live nodes. Edges never touch departed nodes (repairs isolate them),
-// so a BFS seeded at live nodes only ever visits live nodes.
-func liveComponents(g *graph.Graph, alive []bool) int {
-	visited := make([]bool, g.Len())
-	var stack []int32
-	count := 0
-	for u, live := range alive {
-		if !live || visited[u] {
-			continue
-		}
-		count++
-		visited[u] = true
-		stack = append(stack[:0], int32(u))
-		for len(stack) > 0 {
-			x := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, v := range g.Row(int(x)) {
-				if !visited[v] {
-					visited[v] = true
-					stack = append(stack, v)
-				}
-			}
-		}
-	}
-	return count
-}
-
 // Len returns the number of node slots ever allocated, including
 // departed nodes.
 func (s *Session) Len() int {
@@ -786,27 +748,15 @@ func (s *Session) LiveCount() int {
 
 // NodeRadius returns node id's current transmission radius — the length
 // of its longest incident topology edge, 0 for isolated or departed
-// nodes. On incremental stacks it reads the maintained per-node cache;
-// with pairwise removal it derives the answer from the (cached)
-// Snapshot. Like Position it panics on an id the session never
-// allocated.
+// nodes — read from the maintained per-node cache. The error is always
+// nil. Like Position it panics on an id the session never allocated.
 func (s *Session) NodeRadius(id int) (float64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if id < 0 || id >= len(s.pos) {
 		panic(fmt.Sprintf("cbtc: session has no node %d (len %d)", id, len(s.pos)))
 	}
-	if !s.alive[id] {
-		return 0, nil
-	}
-	if s.incremental {
-		return s.radius[id], nil
-	}
-	snap, err := s.snapshotLocked()
-	if err != nil {
-		return 0, err
-	}
-	return graph.NodeRadius(snap.G, s.pos, id), nil
+	return s.radius[id], nil
 }
 
 // Alive reports whether id identifies a live node.
@@ -883,8 +833,9 @@ type recomputed struct {
 // neighbor list — against read-only session state, fanned across the
 // engine's worker pool when the affected region is large (a Move at
 // n=10k touches every node within R of two sites). Phase 2 serially
-// installs the results and patches the recomputed nodes' arcs into the
-// incrementally-maintained topology graphs.
+// installs the results, patches the recomputed nodes' arcs into the
+// maintained topology graphs and, under pairwise removal, re-decides the
+// final graph around them (repairPairwise).
 func (s *Session) recompute(ids []int) []int {
 	s.newMarkEpoch()
 	out := make([]int, 0, len(ids))
@@ -913,22 +864,17 @@ func (s *Session) recompute(ids []int) []int {
 		if s.eng.schedule != nil {
 			nr.Neighbors = core.QuantizeNeighbors(nr.Neighbors, s.eng.schedule)
 		}
-		rc := recomputed{
-			nr:  nr,
-			rec: core.NewReconfigurator(s.eng.alpha, s.eng.model, nr.Neighbors),
+		results[i] = recomputed{
+			nr:     nr,
+			rec:    core.NewReconfigurator(s.eng.alpha, s.eng.model, nr.Neighbors),
+			pruned: s.eng.pruneNeighbors(nr.Neighbors),
 		}
-		if s.incremental {
-			rc.pruned = s.eng.pruneNeighbors(nr.Neighbors)
-		}
-		results[i] = rc
 	})
 
 	for i, u := range live {
 		s.nodes[u] = results[i].nr
 		s.recs[u] = results[i].rec
-		if s.incremental {
-			s.patchArcs(u, results[i].pruned)
-		}
+		s.patchArcs(u, results[i].pruned)
 	}
 	for _, u := range out {
 		if s.alive[u] {
@@ -936,15 +882,75 @@ func (s *Session) recompute(ids []int) []int {
 		}
 		s.nodes[u] = core.NodeResult{}
 		s.recs[u] = nil
-		if s.incremental {
-			s.patchArcs(u, nil)
-		}
+		s.patchArcs(u, nil)
 	}
-	if s.incremental {
-		s.applyObserveDelta(live)
+	if s.red != nil {
+		s.repairPairwise(out)
 	}
+	s.applyObserveDelta(live)
 	s.cached = nil
 	return out
+}
+
+// repairPairwise turns one repair's edge diff of gpre into the edge diff
+// of the final graph g, re-deciding the §3.3 rule only where it can have
+// changed. Let C be the nodes whose gpre row changed: the recomputed
+// nodes (a moved node's neighbors are among them) plus the endpoints of
+// the gpre diff. Apex redundancy can change only at nodes in C, the
+// longest non-redundant edge only at nodes in C ∪ N(C), and an edge's
+// keep/drop decision only when one of its endpoints is in that set. So
+// the pass re-detects C, re-measures C ∪ N(C), and patches every g row in
+// C ∪ N(C) to the decision over its gpre row; afterwards the pend* edge
+// lists hold the diff of g, which is what applyObserveDelta folds.
+func (s *Session) repairPairwise(recomputed []int) {
+	s.newMarkEpoch()
+	var touched []int
+	add := func(u int) {
+		if !s.marked(u) {
+			touched = append(touched, u)
+		}
+	}
+	for _, u := range recomputed {
+		add(u)
+	}
+	for _, lst := range [2][]graph.Edge{s.pendAdd, s.pendRemove} {
+		for _, e := range lst {
+			add(e.U)
+			add(e.V)
+		}
+	}
+	changed := len(touched)
+	for _, u := range touched[:changed] {
+		s.red.Detect(s.gpre, s.pos, u)
+		for _, v := range s.gpre.Row(u) {
+			add(int(v))
+		}
+	}
+	for _, u := range touched {
+		s.red.Measure(s.gpre, s.pos, u)
+	}
+
+	s.pendAdd, s.pendRemove = s.pendAdd[:0], s.pendRemove[:0]
+	policy := s.eng.opts.PairwisePolicy
+	for _, u := range touched {
+		// Edges that left gpre leave g; the row is copied because the
+		// removals mutate it.
+		s.rowBuf = append(s.rowBuf[:0], s.g.Row(u)...)
+		for _, v := range s.rowBuf {
+			if !s.gpre.HasEdge(u, int(v)) && s.g.RemoveEdge(u, int(v)) {
+				s.pendRemove = append(s.pendRemove, graph.NewEdge(u, int(v)))
+			}
+		}
+		for _, v := range s.gpre.Row(u) {
+			if s.red.Drops(policy, s.pos, u, int(v)) {
+				if s.g.RemoveEdge(u, int(v)) {
+					s.pendRemove = append(s.pendRemove, graph.NewEdge(u, int(v)))
+				}
+			} else if s.g.AddEdge(u, int(v)) {
+				s.pendAdd = append(s.pendAdd, graph.NewEdge(u, int(v)))
+			}
+		}
+	}
 }
 
 // applyObserveDelta folds one finished repair into the O(changed)
@@ -993,8 +999,8 @@ func (s *Session) applyObserveDelta(recomputed []int) {
 const parallelGrain = 64
 
 // patchArcs replaces node u's outgoing arcs in the maintained N_α with
-// the new pruned neighbor set and patches the symmetric graph edge by
-// edge. Processing every recomputed node once, in any order, leaves both
+// the new pruned neighbor set and patches the symmetric graph gpre edge
+// by edge. Processing every recomputed node once, in any order, leaves both
 // graphs exactly as a from-scratch rebuild over the new state would.
 func (s *Session) patchArcs(u int, pruned []core.Discovery) {
 	mutual := s.eng.opts.AsymmetricRemoval
@@ -1011,7 +1017,7 @@ func (s *Session) patchArcs(u int, pruned []core.Discovery) {
 		// A closure edge survives the arc removal iff the reverse arc
 		// remains; a mutual edge never does.
 		if mutual || !s.nalpha.HasArc(v, u) {
-			if s.g.RemoveEdge(u, v) {
+			if s.gpre.RemoveEdge(u, v) {
 				s.pendRemove = append(s.pendRemove, graph.NewEdge(u, v))
 			}
 		}
@@ -1023,7 +1029,7 @@ func (s *Session) patchArcs(u int, pruned []core.Discovery) {
 		}
 		s.nalpha.AddArc(u, v)
 		if !mutual || s.nalpha.HasArc(v, u) {
-			if s.g.AddEdge(u, v) {
+			if s.gpre.AddEdge(u, v) {
 				s.pendAdd = append(s.pendAdd, graph.NewEdge(u, v))
 			}
 		}

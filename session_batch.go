@@ -101,11 +101,8 @@ func (s *Session) ApplyBatch(events []Event) (BatchReport, error) {
 // just installed) before observing, so the observed residual stats
 // reflect this tick's spend.
 //
-// On a validation error nothing is applied (ApplyBatch's all-or-nothing
-// contract). If the observation itself fails — possible only on the
-// pairwise-stack snapshot rebuild — the batch HAS been applied: the
-// report is returned alongside the error so the caller's event
-// accounting stays consistent with the session state.
+// The only error is a validation error, and then nothing is applied
+// (ApplyBatch's all-or-nothing contract).
 func (s *Session) Tick(events []Event) (BatchReport, TickStats, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -114,8 +111,7 @@ func (s *Session) Tick(events []Event) (BatchReport, TickStats, error) {
 		return BatchReport{}, TickStats{}, err
 	}
 	s.drainLocked()
-	ts, err := s.observeLocked()
-	return rep, ts, err
+	return rep, s.observeLocked(), nil
 }
 
 func (s *Session) applyBatchLocked(events []Event) (BatchReport, error) {

@@ -8,13 +8,16 @@ import (
 	"sync"
 	"testing"
 
+	"cbtc/internal/core"
+	"cbtc/internal/graph"
 	"cbtc/internal/workload"
 )
 
 // observeStacks are the option stacks the O(changed) Observe path is
-// proved equivalent under: the default incremental stack, incremental
-// with asymmetric-edge removal, the bare basic algorithm, and the
-// pairwise-removal stack that falls back to the snapshot scan.
+// proved equivalent under: shrink-back, shrink-back with asymmetric-edge
+// removal, the bare basic algorithm, and the full stack whose final
+// graph the repair re-decides under pairwise removal, alone and with a
+// battery model.
 var observeStacks = []struct {
 	name string
 	opts []Option
@@ -23,21 +26,74 @@ var observeStacks = []struct {
 	{"asym", []Option{WithMaxRadius(500), WithAlpha(AlphaAsymmetric), WithShrinkBack(), WithAsymmetricRemoval()}},
 	{"plain", []Option{WithMaxRadius(500)}},
 	{"pairwise", []Option{WithMaxRadius(500), WithAllOptimizations()}},
+	{"pairwise-battery", []Option{WithMaxRadius(500), WithBattery(1e9, 1), WithAllOptimizations()}},
 }
 
-// referenceObserve computes TickStats the expensive way — a snapshot,
-// a component BFS, and a fresh per-node radius fold — bypassing every
-// maintained aggregate. The incremental path must match it exactly:
-// integers with ==, floats bitwise.
+// referenceObserve computes TickStats the expensive way — a full
+// topology rebuild, a component BFS, and a fresh per-node radius fold —
+// bypassing every maintained graph and aggregate. The battery fields
+// come from the session's own residual fold, which is already a full
+// scan of the battery vector. The maintained path must match it
+// exactly: integers with ==, floats bitwise.
 func referenceObserve(t *testing.T, s *Session) TickStats {
 	t.Helper()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	snap, err := s.snapshotLocked()
+	snap, err := fullRebuildLocked(s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return observeGraph(snap.G, s.alive, s.pos, s.nodes)
+	ts := observeGraph(snap.G, s.alive, s.pos, s.nodes)
+	s.observeBattery(&ts)
+	return ts
+}
+
+// observeGraph computes TickStats from scratch over g — the reference
+// full-scan path the maintained Observe is tested and benchmarked
+// against: a component BFS plus a fresh per-node radius pass.
+func observeGraph(g *graph.Graph, alive []bool, pos []Point, nodes []core.NodeResult) TickStats {
+	ts := TickStats{Edges: g.EdgeCount(), Components: liveComponents(g, alive)}
+	for u, a := range alive {
+		if !a {
+			continue
+		}
+		ts.Live++
+		ts.AvgRadius += graph.NodeRadius(g, pos, u)
+		ts.Energy += nodes[u].GrowPower
+	}
+	if ts.Live > 0 {
+		ts.AvgDegree = 2 * float64(ts.Edges) / float64(ts.Live)
+		ts.AvgRadius /= float64(ts.Live)
+	}
+	return ts
+}
+
+// liveComponents counts the connected components of g restricted to the
+// live nodes. Edges never touch departed nodes (repairs isolate them),
+// so a BFS seeded at live nodes only ever visits live nodes.
+func liveComponents(g *graph.Graph, alive []bool) int {
+	visited := make([]bool, g.Len())
+	var stack []int32
+	count := 0
+	for u, live := range alive {
+		if !live || visited[u] {
+			continue
+		}
+		count++
+		visited[u] = true
+		stack = append(stack[:0], int32(u))
+		for len(stack) > 0 {
+			x := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			for _, v := range g.Row(int(x)) {
+				if !visited[v] {
+					visited[v] = true
+					stack = append(stack, v)
+				}
+			}
+		}
+	}
+	return count
 }
 
 func requireObserveMatches(t *testing.T, step string, s *Session) {

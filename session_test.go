@@ -3,9 +3,11 @@ package cbtc
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 
+	"cbtc/internal/core"
 	"cbtc/internal/workload"
 )
 
@@ -21,6 +23,30 @@ func sessionLiveMap(s *Session) ([]int, []Point) {
 		}
 	}
 	return ids, pos
+}
+
+// fullRebuildLocked is the test oracle for Session.Snapshot: the
+// from-scratch rebuild that bypasses every maintained graph —
+// BuildTopology over the installed node rows plus a fresh max-power G_R
+// with departed nodes isolated. The caller holds s.mu.
+func fullRebuildLocked(s *Session) (*Result, error) {
+	exec := &core.Execution{
+		Alpha: s.eng.alpha,
+		Model: s.eng.model,
+		Pos:   append([]Point(nil), s.pos...),
+		Nodes: append([]core.NodeResult(nil), s.nodes...),
+	}
+	topo, err := core.BuildTopology(exec, s.eng.opts)
+	if err != nil {
+		return nil, err
+	}
+	gr := core.MaxPowerGraphParallel(s.pos, s.eng.prop, s.workers)
+	for u, alive := range s.alive {
+		if !alive {
+			gr.IsolateNode(u)
+		}
+	}
+	return newResultWithGR(s.pos, s.eng.model, topo, gr), nil
 }
 
 // requireSessionMatchesFreshRun asserts the §4 convergence property:
@@ -53,6 +79,21 @@ func requireSessionMatchesFreshRun(t *testing.T, eng *Engine, s *Session) {
 		if snap.Boundary[u] != fresh.Boundary[fi] {
 			t.Fatalf("node %d: session boundary %v, fresh %v", u, snap.Boundary[u], fresh.Boundary[fi])
 		}
+		// The beacon power reads the graph before pairwise removal.
+		if snap.BeaconPower(u) != fresh.BeaconPower(fi) {
+			t.Fatalf("node %d: session beacon power %v, fresh %v", u, snap.BeaconPower(u), fresh.BeaconPower(fi))
+		}
+	}
+	freshID := make(map[int]int, len(ids))
+	for fi, u := range ids {
+		freshID[u] = fi
+	}
+	removed := snap.RemovedRedundant()
+	for i, e := range removed {
+		removed[i] = Edge{U: freshID[e.U], V: freshID[e.V]}
+	}
+	if want := fresh.RemovedRedundant(); !slices.Equal(removed, want) {
+		t.Fatalf("removed redundant edges: session %v, fresh %v", removed, want)
 	}
 	// The ground-truth G_R — incrementally maintained since PR 3 — must
 	// match the fresh run's too.
@@ -88,6 +129,9 @@ func TestSessionConvergesToFreshRun(t *testing.T) {
 		{"all-ops", []Option{WithMaxRadius(500), WithAllOptimizations()}},
 		{"asym-2pi3", []Option{WithMaxRadius(500), WithAlpha(AlphaAsymmetric), WithAllOptimizations()}},
 		{"quantized", []Option{WithMaxRadius(500), WithShrinkBack(), WithShrinkBackSchedule(1.5)}},
+		{"remove-all", []Option{WithMaxRadius(500), WithPairwiseRemoval(PairwiseRemoveAll)}},
+		{"either-endpoint", []Option{WithMaxRadius(500), WithShrinkBack(), WithPairwiseRemoval(PairwiseEitherEndpoint)}},
+		{"both-endpoints", []Option{WithMaxRadius(500), WithShrinkBack(), WithPairwiseRemoval(PairwiseBothEndpoints)}},
 	}
 	for _, st := range stacks {
 		st := st
@@ -188,6 +232,41 @@ func TestSessionLargeNIncrementalIndex(t *testing.T) {
 		}
 	}
 	requireSessionMatchesFreshRun(t, eng, sess)
+}
+
+// TestPairwiseRepairMatchesRebuild pins the locality argument of the
+// pairwise repair on a sparse network, where a node two hops from an
+// event can lie outside the recomputed region: after every event the
+// maintained §3.3 state must equal a from-scratch evaluation over the
+// maintained pre-removal graph, and the final graph its pruning. A
+// repair that re-measured only the nodes whose rows changed, and not
+// their neighbors, leaves a stale longest non-redundant edge here.
+func TestPairwiseRepairMatchesRebuild(t *testing.T) {
+	const side = 5000.0
+	eng, err := New(WithMaxRadius(500), WithPairwiseRemoval(PairwiseLengthFiltered))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := workload.Rand(3)
+	sess, err := eng.NewSession(context.Background(), workload.Uniform(rng, 1200, side, side))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for step := 0; step < 150; step++ {
+		if _, err := sess.ApplyBatch(randomBatch(rng, sess, 1, side)); err != nil {
+			t.Fatal(err)
+		}
+		sess.mu.Lock()
+		red := core.NewRedundancy(sess.gpre, sess.pos)
+		g, _ := red.Prune(sess.gpre, sess.pos, eng.opts.PairwisePolicy)
+		sameRed := slices.Equal(red.Longest, sess.red.Longest) &&
+			slices.EqualFunc(red.Apex, sess.red.Apex, slices.Equal[[]int32])
+		sameG := g.Equal(sess.g)
+		sess.mu.Unlock()
+		if !sameRed || !sameG {
+			t.Fatalf("step %d: maintained state diverges from the rebuild (redundancy equal %v, G equal %v)", step, sameRed, sameG)
+		}
+	}
 }
 
 // Replaying cmd/dynsim's built-in crash/move/add demo through the public
