@@ -43,18 +43,13 @@ type AlphaSweepRow struct {
 	Connected float64
 }
 
-// RunAlphaSweep sweeps with a background context; see
-// RunAlphaSweepContext.
-func RunAlphaSweep(params AlphaSweepParams) ([]AlphaSweepRow, error) {
-	return RunAlphaSweepContext(context.Background(), params)
-}
-
-// RunAlphaSweepContext measures the basic algorithm across cone angles:
+// RunAlphaSweep measures the basic algorithm across cone angles:
 // the trade-off curve behind the paper's choice of the two α values in
 // Table 1 (smaller α ⇒ more neighbors and power; larger α ⇒ sparser,
 // cheaper, until connectivity fails past 5π/6). Each angle gets its own
 // Engine and the shared placements run through Engine.RunBatch.
-func RunAlphaSweepContext(ctx context.Context, params AlphaSweepParams) ([]AlphaSweepRow, error) {
+// Cancelling ctx aborts the sweep.
+func RunAlphaSweep(ctx context.Context, params AlphaSweepParams) ([]AlphaSweepRow, error) {
 	p := params
 	if p.Networks == 0 {
 		p.Networks = 20

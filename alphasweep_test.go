@@ -1,13 +1,14 @@
 package cbtc
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
 )
 
 func TestAlphaSweepShape(t *testing.T) {
-	rows, err := RunAlphaSweep(AlphaSweepParams{
+	rows, err := RunAlphaSweep(context.Background(), AlphaSweepParams{
 		Alphas:   []float64{math.Pi / 3, math.Pi / 2, AlphaAsymmetric, AlphaConnectivity},
 		Networks: 8,
 		Nodes:    60,
@@ -48,7 +49,7 @@ func TestAlphaSweepShape(t *testing.T) {
 }
 
 func TestAlphaSweepDefaults(t *testing.T) {
-	rows, err := RunAlphaSweep(AlphaSweepParams{Networks: 1, Nodes: 20})
+	rows, err := RunAlphaSweep(context.Background(), AlphaSweepParams{Networks: 1, Nodes: 20})
 	if err != nil {
 		t.Fatal(err)
 	}

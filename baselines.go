@@ -5,9 +5,7 @@ import (
 	"fmt"
 
 	"cbtc/internal/baseline"
-	"cbtc/internal/core"
 	"cbtc/internal/graph"
-	"cbtc/internal/radio"
 )
 
 // BaselineKind selects one of the position-based topology-control
@@ -64,7 +62,7 @@ func BaselineKinds() []BaselineKind {
 // model does: on a shadowed engine the comparators see the same
 // realized link set as the protocol.
 func (e *Engine) Baseline(kind BaselineKind, nodes []Point) (*Result, error) {
-	return e.baselineIndexed(kind, nodes, baseline.NewPropagationIndex(nodes, e.prop), nil)
+	return e.baseline(kind, nodes, baseline.NewIndex(nodes, e.prop))
 }
 
 // EnergyBaseline builds the energy-balanced spanning forest for a
@@ -79,15 +77,13 @@ func (e *Engine) EnergyBaseline(nodes []Point, residual []float64) (*Result, err
 	if residual != nil && len(residual) != len(nodes) {
 		return nil, fmt.Errorf("%w: %d residuals for %d nodes", ErrBadConfig, len(residual), len(nodes))
 	}
-	ix := baseline.NewPropagationIndex(nodes, e.prop)
-	g := ix.EnergyMST(residual)
-	return baselineResult(nodes, e.model, g, core.MaxPowerGraph(nodes, e.prop)), nil
+	ix := baseline.NewIndex(nodes, e.prop)
+	return newResult(nodes, e.model, nil, ix.EnergyMST(residual), ix.GR(), nil), nil
 }
 
-// baselineIndexed builds one comparator from a caller-shared spatial
-// index; gr, if non-nil, is a precomputed ground-truth G_R reused across
-// rows (CompareBaselines builds both once per placement).
-func (e *Engine) baselineIndexed(kind BaselineKind, nodes []Point, ix *baseline.Index, gr *graph.Graph) (*Result, error) {
+// baseline builds one comparator from a possibly shared index, judged
+// against the index's G_R (CompareBaselines builds one per placement).
+func (e *Engine) baseline(kind BaselineKind, nodes []Point, ix *baseline.Index) (*Result, error) {
 	var g *graph.Graph
 	var err error
 	switch kind {
@@ -107,48 +103,22 @@ func (e *Engine) baselineIndexed(kind BaselineKind, nodes []Point, ix *baseline.
 	default:
 		return nil, fmt.Errorf("%w: unknown baseline %v", ErrBadConfig, kind)
 	}
-	if gr == nil {
-		gr = core.MaxPowerGraph(nodes, e.prop)
-	}
-	return baselineResult(nodes, e.model, g, gr), nil
+	return newResult(nodes, e.model, nil, g, ix.GR(), nil), nil
 }
 
 // BetaSkeleton builds the lune-based β-skeleton over the placement for
 // β ≥ 1 — the G_β family the paper cites alongside the RNG (β = 2) and
 // the Gabriel graph (β = 1). Connectivity of the max-power graph is
 // preserved for β ≤ 2 (the skeleton then contains the Euclidean MST).
+// Like Baseline, it is restricted to the G_R of the engine's propagation
+// model.
 func (e *Engine) BetaSkeleton(beta float64, nodes []Point) (*Result, error) {
-	g, err := baseline.BetaSkeleton(nodes, e.model.MaxRadius, beta)
+	ix := baseline.NewIndex(nodes, e.prop)
+	g, err := ix.BetaSkeleton(beta)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadConfig, err)
 	}
-	return baselineResult(nodes, e.model, g, core.MaxPowerGraph(nodes, e.prop)), nil
-}
-
-func baselineResult(nodes []Point, m radio.Model, g, gr *graph.Graph) *Result {
-	n := len(nodes)
-	res := &Result{
-		G:        g,
-		GR:       gr,
-		Pos:      append([]Point(nil), nodes...),
-		Radii:    make([]float64, n),
-		Powers:   make([]float64, n),
-		Boundary: make([]bool, n),
-		model:    m,
-	}
-	for u := 0; u < n; u++ {
-		res.Radii[u] = graph.NodeRadius(g, nodes, u)
-		res.Powers[u] = m.PowerFor(res.Radii[u])
-	}
-	res.AvgDegree = graph.AvgDegree(g)
-	var sum float64
-	for _, r := range res.Radii {
-		sum += r
-	}
-	if n > 0 {
-		res.AvgRadius = sum / float64(n)
-	}
-	return res
+	return newResult(nodes, e.model, nil, g, ix.GR(), nil), nil
 }
 
 // ComparisonRow is one topology in a CompareBaselines report.
@@ -168,11 +138,10 @@ type ComparisonRow struct {
 // constructions across the batch worker pool. Each row fixes its own
 // cone angle and optimization stack.
 //
-// The position-based rows share one spatial index and one ground-truth
-// G_R built up front for the placement, so the per-row cost is the
-// construction itself, not repeated quadratic scans; the returned
-// baseline Results consequently share their GR graph (callers must not
-// mutate it).
+// The position-based rows share one baseline index — one spatial grid
+// and one ground-truth G_R built up front for the placement — so the
+// per-row cost is the construction itself; the returned baseline Results
+// consequently share their GR graph (callers must not mutate it).
 func CompareBaselines(ctx context.Context, nodes []Point, m RadioModel) ([]ComparisonRow, error) {
 	type spec struct {
 		name           string
@@ -195,13 +164,12 @@ func CompareBaselines(ctx context.Context, nodes []Point, m RadioModel) ([]Compa
 	if err != nil {
 		return nil, err
 	}
-	ix := baseline.NewIndex(nodes, refEng.model.MaxRadius)
-	gr := core.MaxPowerGraph(nodes, refEng.prop)
+	ix := baseline.NewIndex(nodes, refEng.prop)
 	for _, kind := range BaselineKinds() {
 		kind := kind
 		specs = append(specs, spec{kind.String() + " (positions)", true,
 			func(_ context.Context, eng *Engine) (*Result, error) {
-				return eng.baselineIndexed(kind, nodes, ix, gr)
+				return eng.baseline(kind, nodes, ix)
 			}, nil})
 	}
 

@@ -2,6 +2,7 @@ package cbtc
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 )
@@ -156,5 +157,54 @@ func TestRunBetaSkeletonPublicAPI(t *testing.T) {
 	}
 	if _, err := paperEngine(t).BetaSkeleton(0.5, nodes); !errors.Is(err, ErrBadConfig) {
 		t.Errorf("β < 1 must be rejected, got %v", err)
+	}
+}
+
+// TestBaselinesInsideGR pins the single G_R authority: every
+// position-based construction, on a nominal and on a shadowed engine,
+// must stay inside G_R and report the very G_R Engine.MaxPower builds. A
+// construction with a range predicate of its own fails on the shadowed
+// engine, where links depend on more than distance.
+func TestBaselinesInsideGR(t *testing.T) {
+	engines := map[string]*Engine{
+		"nominal":  paperEngine(t),
+		"shadowed": paperEngine(t, WithShadowing(8, 9)),
+	}
+	for name, eng := range engines {
+		t.Run(name, func(t *testing.T) {
+			for seed := uint64(0); seed < 20; seed++ {
+				nodes := someNetwork(seed, 200)
+				mp, err := eng.MaxPower(nodes)
+				if err != nil {
+					t.Fatal(err)
+				}
+				residual := make([]float64, len(nodes))
+				for u := range residual {
+					residual[u] = float64(u % 7) // every seventh node drained
+				}
+				check := func(label string, res *Result, err error) {
+					t.Helper()
+					if err != nil {
+						t.Fatalf("seed %d %s: %v", seed, label, err)
+					}
+					if !res.G.IsSubgraphOf(res.GR) {
+						t.Errorf("seed %d %s: G is not a subgraph of its G_R", seed, label)
+					}
+					if !res.GR.Equal(mp.GR) {
+						t.Errorf("seed %d %s: G_R differs from MaxPower's", seed, label)
+					}
+				}
+				for _, kind := range BaselineKinds() {
+					res, err := eng.Baseline(kind, nodes)
+					check(kind.String(), res, err)
+				}
+				res, err := eng.EnergyBaseline(nodes, residual)
+				check("energy-baseline", res, err)
+				for _, beta := range []float64{1, 1.5, 2} {
+					res, err := eng.BetaSkeleton(beta, nodes)
+					check(fmt.Sprintf("beta-skeleton(%v)", beta), res, err)
+				}
+			}
+		})
 	}
 }

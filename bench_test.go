@@ -47,13 +47,13 @@ func BenchmarkTable1(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if col.MaxPower {
-					gr := core.MaxPowerGraph(benchNetwork, m)
+					gr := core.MaxPowerGraph(benchNetwork, m, nil, 1)
 					if graph.AvgDegree(gr) <= 0 {
 						b.Fatal("empty baseline")
 					}
 					continue
 				}
-				exec, err := core.Run(benchNetwork, m, col.Alpha)
+				exec, err := core.Run(context.Background(), benchNetwork, m, col.Alpha, 1)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -122,7 +122,7 @@ func BenchmarkTable1FullSweep(b *testing.B) {
 	// `go run ./cmd/tablegen`.
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := RunTable1(Table1Params{Networks: 3, Seed: uint64(i)})
+		res, err := RunTable1(context.Background(), Table1Params{Networks: 3, Seed: uint64(i)})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -135,7 +135,7 @@ func BenchmarkTable1FullSweep(b *testing.B) {
 func BenchmarkFigure6(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		panels, err := Figure6Panels(42)
+		panels, err := Figure6Panels(context.Background(), 42)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -154,7 +154,7 @@ func BenchmarkExample21(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		exec, err := core.Run(pos, m, alpha)
+		exec, err := core.Run(context.Background(), pos, m, alpha, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -173,7 +173,7 @@ func BenchmarkFigure5(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		exec, err := core.Run(pos, m, AlphaConnectivity+0.1)
+		exec, err := core.Run(context.Background(), pos, m, AlphaConnectivity+0.1, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -190,7 +190,7 @@ func BenchmarkOracle(b *testing.B) {
 		b.Run(benchName("n", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.Run(pos, m, AlphaConnectivity); err != nil {
+				if _, err := core.Run(context.Background(), pos, m, AlphaConnectivity, 1); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -206,7 +206,7 @@ func BenchmarkDistributed(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		opts := netsim.DefaultOptions(m)
 		opts.Seed = uint64(i)
-		if _, _, err := proto.RunCBTC(pos, opts, cfg); err != nil {
+		if _, _, err := proto.RunCBTC(context.Background(), pos, opts, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -217,7 +217,7 @@ func BenchmarkDistributed(b *testing.B) {
 // reported removal counts.
 func BenchmarkPairwisePolicy(b *testing.B) {
 	m := benchModel()
-	exec, err := core.Run(benchNetwork, m, AlphaConnectivity)
+	exec, err := core.Run(context.Background(), benchNetwork, m, AlphaConnectivity, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func BenchmarkPairwisePolicy(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	gr := core.MaxPowerGraph(benchNetwork, m)
+	gr := core.MaxPowerGraph(benchNetwork, m, nil, 1)
 	policies := []core.PairwisePolicy{
 		core.PairwiseLengthFiltered,
 		core.PairwiseRemoveAll,
@@ -267,7 +267,7 @@ func BenchmarkPowerStretch(b *testing.B) {
 // power levels), the calibration knob of RunTable1.
 func BenchmarkShrinkGranularity(b *testing.B) {
 	m := benchModel()
-	exec, err := core.Run(benchNetwork, m, AlphaConnectivity)
+	exec, err := core.Run(context.Background(), benchNetwork, m, AlphaConnectivity, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -348,7 +348,7 @@ func BenchmarkGrowingPhaseEnergy(b *testing.B) {
 			b.ReportAllocs()
 			var energy float64
 			for i := 0; i < b.N; i++ {
-				_, rt, err := proto.RunCBTC(pos, netsim.DefaultOptions(m), proto.Config{Alpha: tc.alpha})
+				_, rt, err := proto.RunCBTC(context.Background(), pos, netsim.DefaultOptions(m), proto.Config{Alpha: tc.alpha})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -377,19 +377,19 @@ func BenchmarkLargeN(b *testing.B) {
 		b.Run(sc.Name+"/oracle/grid", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.RunContext(ctx, pos, m, AlphaConnectivity); err != nil {
+				if _, err := core.Run(ctx, pos, m, AlphaConnectivity, 1); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 		// The PR 3 tentpole: the same oracle fanned across an 8-worker
 		// pool. Output is byte-identical to /oracle/grid (asserted by
-		// TestRunParallelDeterministic); BENCH_PR3.json gates the
+		// TestRunParallelDeterministic); BENCH_PR10.json gates the
 		// parallel-vs-serial ratio at n=10000 on multi-core runners.
 		b.Run(sc.Name+"/oracle/par8", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.RunParallel(ctx, pos, m, AlphaConnectivity, 8); err != nil {
+				if _, err := core.Run(ctx, pos, m, AlphaConnectivity, 8); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -411,7 +411,7 @@ func BenchmarkLargeN(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					opts := netsim.DefaultOptions(m)
 					opts.Seed = uint64(i)
-					if _, _, err := proto.RunCBTC(pos, opts, proto.Config{Alpha: AlphaConnectivity}); err != nil {
+					if _, _, err := proto.RunCBTC(context.Background(), pos, opts, proto.Config{Alpha: AlphaConnectivity}); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -424,7 +424,7 @@ func BenchmarkLargeN(b *testing.B) {
 					opts := netsim.DefaultOptions(m)
 					opts.Seed = uint64(i)
 					opts.NaiveDelivery = true
-					if _, _, err := proto.RunCBTC(pos, opts, proto.Config{Alpha: AlphaConnectivity}); err != nil {
+					if _, _, err := proto.RunCBTC(context.Background(), pos, opts, proto.Config{Alpha: AlphaConnectivity}); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -516,7 +516,7 @@ func BenchmarkLargeN(b *testing.B) {
 		// The §4 batch shape: one mobility tick moves a cluster of 32
 		// nearby nodes a small step. apply-batch repairs the burst with
 		// one region-union recompute; sequential-moves is the same burst
-		// through 32 single Move calls. BENCH_PR4.json pins the batch's
+		// through 32 single Move calls. BENCH_PR10.json pins the batch's
 		// lead at n=10000.
 		b.Run(sc.Name+"/apply-batch32", func(b *testing.B) {
 			benchMobilityTick(b, sc, pos, func(sess *Session, events []Event) {
@@ -613,7 +613,7 @@ func benchMobilityTick(b *testing.B, sc workload.LargeNScenario, pos []Point, fn
 // batched repair, per-tick observation and the aggregated FleetReport —
 // serially and across the shard pool. The networks are independent, so
 // the sharded fleet's per-network results are byte-identical to the
-// serial ones (TestFleetWorkerCountInvariance); BENCH_PR5.json gates
+// serial ones (TestFleetWorkerCountInvariance); BENCH_PR10.json gates
 // the serial/sharded ratio on multi-core runners.
 func BenchmarkFleet(b *testing.B) {
 	sc := workload.Fleet(16, 250, "uniform")
@@ -681,7 +681,7 @@ func BenchmarkFleet(b *testing.B) {
 //     round's fast ticks wait for a straggler tick.
 //
 // Per iteration the fast-member work is identical (32 ticks); the async
-// arm pays the straggler once instead of four times. BENCH_PR7.json
+// arm pays the straggler once instead of four times. BENCH_PR10.json
 // gates the lockstep/async ratio on ≥4-core runners.
 func BenchmarkFleetAsync(b *testing.B) {
 	mix := workload.StragglerMix(8, 80, 4, 2000)
@@ -753,7 +753,7 @@ func BenchmarkFleetAsync(b *testing.B) {
 // of the n=10k maximum-power graph (O(n) slice-header copies) against a
 // fully materialized deep copy (O(E) arena copy) — the cheapest possible
 // version of what the map-based representation paid on every snapshot.
-// BENCH_PR4.json pins the COW/deep ratio.
+// BENCH_PR10.json pins the COW/deep ratio.
 func BenchmarkGraphClone(b *testing.B) {
 	var sc workload.LargeNScenario
 	for _, s := range workload.LargeN() {
@@ -765,7 +765,7 @@ func BenchmarkGraphClone(b *testing.B) {
 		b.Fatal("missing uniform n=10000 scenario")
 	}
 	pos := sc.Placement(7)
-	gr := core.MaxPowerGraph(pos, radio.Default(sc.Radius))
+	gr := core.MaxPowerGraph(pos, radio.Default(sc.Radius), nil, 1)
 	b.Run("cow", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -808,7 +808,7 @@ func itoa(v int) string {
 // revalidates it back into a live session (including the spatial-index
 // and reconfigurator rebuild). Fleet checkpoints are m independent
 // session bodies behind one header, so the session-level numbers are
-// the per-network cost. BENCH_PR6.json gates both absolutes and their
+// the per-network cost. BENCH_PR10.json gates both absolutes and their
 // allocation ceilings.
 func BenchmarkCheckpoint(b *testing.B) {
 	var sc workload.LargeNScenario
@@ -863,7 +863,7 @@ func BenchmarkCheckpoint(b *testing.B) {
 // connectivity, cached radii) against the reference full scan — a
 // component BFS plus a fresh per-node radius fold. Both run on the same
 // dirtied session, and TestSessionObserveLockstep proves
-// they return bitwise-identical TickStats; BENCH_PR9.json pins the
+// they return bitwise-identical TickStats; BENCH_PR10.json pins the
 // maintained path's ≥5× lead at n = 10000.
 func BenchmarkObserve(b *testing.B) {
 	ctx := context.Background()

@@ -40,12 +40,25 @@
 // carrying the final graph and the per-node power assignment, plus the
 // metrics the paper's Table 1 reports.
 //
+// # Baselines and experiments
+//
+// Engine.Baseline, Engine.EnergyBaseline and Engine.BetaSkeleton build
+// the position-based comparators of the paper's related work, and
+// CompareBaselines lines them up against CBTC. Every Result — a CBTC
+// run, a session snapshot or a comparator — is judged against one G_R,
+// built from the engine's propagation model (nominal or shadowed), so a
+// comparator's G is always a subgraph of its Result.GR. The drivers
+// RunTable1, Figure6Panels, RunAlphaSweep and RunDensitySweep regenerate
+// the paper's evaluation. Like the executors, each computation has one
+// entry point, and it takes a context first.
+//
 // # Sessions: dynamic reconfiguration (§4)
 //
 // Engine.NewSession maintains a long-lived, evolving topology under the
 // paper's §4 reconfiguration semantics: Join, Leave and Move events
-// repair the topology incrementally — only nodes whose neighborhood the
-// event could have changed are recomputed — and Snapshot returns the
+// (each a one-event ApplyBatch) repair the topology incrementally — only
+// nodes whose neighborhood the event could have changed are recomputed —
+// and Snapshot returns the
 // live Result at any point. The maintained state always equals what a
 // fresh Engine.Run over the current live placement would produce.
 //

@@ -36,7 +36,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	rows, err := cbtc.RunAlphaSweepContext(ctx, cbtc.AlphaSweepParams{
+	rows, err := cbtc.RunAlphaSweep(ctx, cbtc.AlphaSweepParams{
 		Alphas:    alphas,
 		Networks:  *networks,
 		Nodes:     *nodes,

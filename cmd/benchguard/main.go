@@ -4,7 +4,9 @@
 // Parse mode converts benchmark text into a JSON report of ns/op — plus
 // B/op and allocs/op where the benchmark ran with -benchmem or
 // b.ReportAllocs() — per benchmark (CPU-count suffixes stripped, so
-// names are stable across machines):
+// names are stable across machines). With -count=N each benchmark's
+// ns/op is the median of its N samples and its B/op and allocs/op the
+// maximum:
 //
 //	go test -run=- -bench=. -benchtime=1x . | tee bench.out
 //	benchguard -parse bench.out -out current.json
@@ -15,7 +17,7 @@
 // (grid vs naive, parallel vs serial) is no longer met, or an
 // allocation ceiling (allocs/op or B/op) is exceeded:
 //
-//	benchguard -check -baseline BENCH_PR3.json -current current.json
+//	benchguard -check -baseline BENCH_PR10.json -current current.json
 //
 // The baseline's absolute ns/op values are machine-dependent — regenerate
 // them (parse mode writes the same schema) when the CI runner class
@@ -35,6 +37,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"regexp"
 	"runtime"
@@ -149,40 +152,8 @@ func runParse(in, out, note string) error {
 		}
 		defer f.Close()
 	}
-	rep := Report{
-		Note:       note,
-		Benchmarks: map[string]float64{},
-		Bytes:      map[string]float64{},
-		Allocs:     map[string]float64{},
-	}
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		mm := benchLine.FindStringSubmatch(sc.Text())
-		if mm == nil {
-			continue
-		}
-		ns, err := strconv.ParseFloat(mm[2], 64)
-		if err != nil {
-			return fmt.Errorf("line %q: %v", sc.Text(), err)
-		}
-		rep.Benchmarks[mm[1]] = ns
-		if mm[3] != "" {
-			v, err := strconv.ParseFloat(mm[3], 64)
-			if err != nil {
-				return fmt.Errorf("line %q: %v", sc.Text(), err)
-			}
-			rep.Bytes[mm[1]] = v
-		}
-		if mm[4] != "" {
-			v, err := strconv.ParseFloat(mm[4], 64)
-			if err != nil {
-				return fmt.Errorf("line %q: %v", sc.Text(), err)
-			}
-			rep.Allocs[mm[1]] = v
-		}
-	}
-	if err := sc.Err(); err != nil {
+	rep, err := parseReport(f, note)
+	if err != nil {
 		return err
 	}
 	if len(rep.Benchmarks) == 0 {
@@ -198,6 +169,75 @@ func runParse(in, out, note string) error {
 		return err
 	}
 	return os.WriteFile(out, enc, 0o644)
+}
+
+// parseReport reads `go test -bench` output. A benchmark that appears on
+// several lines (-count=N) is recorded as the median of its ns/op
+// samples, so one noisy iteration cannot move a gate; its B/op and
+// allocs/op are the maximum over the samples, so the ceilings never get
+// looser than the worst run.
+func parseReport(r io.Reader, note string) (*Report, error) {
+	rep := &Report{
+		Note:       note,
+		Benchmarks: map[string]float64{},
+		Bytes:      map[string]float64{},
+		Allocs:     map[string]float64{},
+	}
+	samples := map[string][]float64{}
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	for sc.Scan() {
+		mm := benchLine.FindStringSubmatch(sc.Text())
+		if mm == nil {
+			continue
+		}
+		ns, err := strconv.ParseFloat(mm[2], 64)
+		if err != nil {
+			return nil, fmt.Errorf("line %q: %v", sc.Text(), err)
+		}
+		samples[mm[1]] = append(samples[mm[1]], ns)
+		if err := keepMax(rep.Bytes, mm[1], mm[3]); err != nil {
+			return nil, fmt.Errorf("line %q: %v", sc.Text(), err)
+		}
+		if err := keepMax(rep.Allocs, mm[1], mm[4]); err != nil {
+			return nil, fmt.Errorf("line %q: %v", sc.Text(), err)
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	for name, ns := range samples {
+		rep.Benchmarks[name] = median(ns)
+	}
+	return rep, nil
+}
+
+// keepMax records the parsed value of text under name in dst unless dst
+// already holds a larger one. An empty text (the column was not
+// reported) records nothing.
+func keepMax(dst map[string]float64, name, text string) error {
+	if text == "" {
+		return nil
+	}
+	v, err := strconv.ParseFloat(text, 64)
+	if err != nil {
+		return err
+	}
+	if old, ok := dst[name]; !ok || v > old {
+		dst[name] = v
+	}
+	return nil
+}
+
+// median returns the middle sample (the mean of the two middle samples
+// for an even count). It sorts xs in place.
+func median(xs []float64) float64 {
+	sort.Float64s(xs)
+	mid := len(xs) / 2
+	if len(xs)%2 == 0 {
+		return (xs[mid-1] + xs[mid]) / 2
+	}
+	return xs[mid]
 }
 
 func readReport(path string) (*Report, error) {

@@ -27,7 +27,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	rows, err := cbtc.RunDensitySweepContext(ctx, cbtc.DensitySweepParams{
+	rows, err := cbtc.RunDensitySweep(ctx, cbtc.DensitySweepParams{
 		Networks:  *networks,
 		MaxRadius: *radius,
 		Seed:      *seed,

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 
 	"cbtc"
 )
@@ -87,7 +88,26 @@ func (s *ckptStore) Write(fleet *cbtc.Fleet) error {
 			return err
 		}
 	}
-	return os.Rename(tmp, s.path)
+	if err := os.Rename(tmp, s.path); err != nil {
+		return err
+	}
+	// The renames live in the directory entry: sync it, or a crash could
+	// roll the rotation back after the write was reported durable.
+	return syncDir(s.path)
+}
+
+// syncDir fsyncs the directory holding path, making a rename into it
+// durable.
+func syncDir(path string) error {
+	d, err := os.Open(filepath.Dir(path))
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // Restore tries each generation newest to oldest and returns the first

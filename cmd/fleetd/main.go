@@ -126,6 +126,11 @@ import (
 	"cbtc/internal/workload"
 )
 
+// readHeaderTimeout bounds how long a client may take to send request
+// headers, so a stalled or slow-loris connection cannot pin a server
+// goroutine indefinitely.
+const readHeaderTimeout = 10 * time.Second
+
 func main() {
 	var (
 		ckptPath = flag.String("checkpoint", "", "checkpoint file (restore from it if present; write to it on interval and shutdown)")
@@ -176,7 +181,7 @@ func main() {
 
 	var srv *http.Server
 	if *httpAddr != "" {
-		srv = &http.Server{Addr: *httpAddr, Handler: d.routes()}
+		srv = &http.Server{Addr: *httpAddr, Handler: d.routes(), ReadHeaderTimeout: readHeaderTimeout}
 		go func() {
 			if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 				d.fail(err)

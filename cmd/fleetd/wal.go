@@ -214,6 +214,9 @@ func (w *wal) compact(recs []walRecord, keep func(walRecord) bool) (*wal, error)
 	if err := os.Rename(tmp, w.path); err != nil {
 		return nil, err
 	}
+	if err := syncDir(w.path); err != nil {
+		return nil, err
+	}
 	re, _, err := openWAL(w.path)
 	return re, err
 }

@@ -33,7 +33,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	res, err := cbtc.RunTable1Context(ctx, cbtc.Table1Params{
+	res, err := cbtc.RunTable1(ctx, cbtc.Table1Params{
 		Networks:  *networks,
 		Nodes:     *nodes,
 		Width:     *width,

@@ -27,7 +27,7 @@ func main() {
 	labels := flag.Bool("labels", false, "draw node indices, as the paper's figure does")
 	flag.Parse()
 
-	panels, err := cbtc.Figure6PanelsContext(context.Background(), *seed)
+	panels, err := cbtc.Figure6Panels(context.Background(), *seed)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "topoviz:", err)
 		os.Exit(1)

@@ -43,19 +43,14 @@ type DensitySweepRow struct {
 	Interference float64
 }
 
-// RunDensitySweep sweeps with a background context; see
-// RunDensitySweepContext.
-func RunDensitySweep(params DensitySweepParams) ([]DensitySweepRow, error) {
-	return RunDensitySweepContext(context.Background(), params)
-}
-
-// RunDensitySweepContext measures how topology control decouples node
+// RunDensitySweep measures how topology control decouples node
 // degree from deployment density: without control the degree grows
 // linearly in the number of nodes; with CBTC it stays essentially
 // constant while the per-node radius shrinks. This is the scalability
 // argument of the paper's introduction. One Engine serves every
 // density; each density's networks run through Engine.RunBatch.
-func RunDensitySweepContext(ctx context.Context, params DensitySweepParams) ([]DensitySweepRow, error) {
+// Cancelling ctx aborts the sweep.
+func RunDensitySweep(ctx context.Context, params DensitySweepParams) ([]DensitySweepRow, error) {
 	p := params
 	if p.NodeCounts == nil {
 		p.NodeCounts = []int{25, 50, 100, 200, 400}

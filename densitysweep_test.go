@@ -1,12 +1,13 @@
 package cbtc
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
 
 func TestDensitySweepBoundedDegree(t *testing.T) {
-	rows, err := RunDensitySweep(DensitySweepParams{
+	rows, err := RunDensitySweep(context.Background(), DensitySweepParams{
 		NodeCounts: []int{50, 100, 200},
 		Networks:   5,
 	})

@@ -230,7 +230,7 @@ func TestShadowedGroundTruth(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := maxPower.G
-			if nominal := core.MaxPowerGraph(nodes, eng.RadioModel()); nominal.Equal(want) {
+			if nominal := core.MaxPowerGraph(nodes, eng.RadioModel(), nil, 1); nominal.Equal(want) {
 				t.Fatal("shadowing left G_R unchanged; the check below would be vacuous")
 			}
 			run, err := eng.Run(ctx, nodes)

@@ -6,7 +6,6 @@ import (
 	"math"
 
 	"cbtc/internal/core"
-	"cbtc/internal/graph"
 	"cbtc/internal/netsim"
 	"cbtc/internal/proto"
 	"cbtc/internal/radio"
@@ -197,18 +196,14 @@ func (e *Engine) Run(ctx context.Context, nodes []Point) (*Result, error) {
 // run is Run with an explicit worker count; RunBatch pins it to 1 so
 // batch-level parallelism is not multiplied by per-run parallelism.
 func (e *Engine) run(ctx context.Context, nodes []Point, workers int) (*Result, error) {
-	exec, err := core.RunParallel(ctx, nodes, e.prop, e.alpha, workers)
+	exec, err := core.Run(ctx, nodes, e.prop, e.alpha, workers)
 	if err != nil {
 		return nil, err
 	}
 	if e.schedule != nil {
 		exec = core.QuantizeTags(exec, e.schedule)
 	}
-	topo, err := core.BuildTopology(exec, e.opts)
-	if err != nil {
-		return nil, err
-	}
-	return newResult(nodes, e.prop, topo, workers), nil
+	return e.topologyResult(nodes, exec, workers)
 }
 
 // Simulate runs the distributed Hello/Ack protocol of the paper's
@@ -221,11 +216,19 @@ func (e *Engine) Simulate(ctx context.Context, nodes []Point, sim SimOptions) (*
 	if err != nil {
 		return nil, err
 	}
+	return e.topologyResult(nodes, exec, e.workers)
+}
+
+// topologyResult applies the engine's optimization stack to a finished
+// growing phase and judges the topology against G_R from the engine's
+// propagation authority, so a shadowed run is judged against the links
+// that actually exist — the shared back half of Run and Simulate.
+func (e *Engine) topologyResult(nodes []Point, exec *core.Execution, workers int) (*Result, error) {
 	topo, err := core.BuildTopology(exec, e.opts)
 	if err != nil {
 		return nil, err
 	}
-	return newResult(nodes, e.prop, topo, e.workers), nil
+	return newResult(nodes, e.model, topo, topo.G, core.MaxPowerGraph(nodes, e.prop, nil, workers), nil), nil
 }
 
 // protoExec runs the distributed Figure 1 protocol on the discrete-event
@@ -256,7 +259,7 @@ func (e *Engine) protoExec(ctx context.Context, nodes []Point, sim SimOptions) (
 		}
 		pcfg.Increase = inc
 	}
-	exec, _, err := proto.RunCBTCContext(ctx, nodes, simOpts, pcfg)
+	exec, _, err := proto.RunCBTC(ctx, nodes, simOpts, pcfg)
 	if err != nil {
 		return nil, err
 	}
@@ -268,24 +271,12 @@ func (e *Engine) protoExec(ctx context.Context, nodes []Point, sim SimOptions) (
 // Table 1). The G_R radius queries are fanned across the engine's worker
 // pool. The engine's optimization stack does not apply.
 func (e *Engine) MaxPower(nodes []Point) (*Result, error) {
-	m := e.model
-	gr := core.MaxPowerGraphParallel(nodes, e.prop, e.workers)
+	gr := core.MaxPowerGraph(nodes, e.prop, nil, e.workers)
 	radii := make([]float64, len(nodes))
-	powers := make([]float64, len(nodes))
-	boundary := make([]bool, len(nodes))
-	for i := range nodes {
-		radii[i] = m.MaxRadius // the baseline transmits at R regardless
-		powers[i] = m.MaxPower()
+	for i := range radii {
+		radii[i] = e.model.MaxRadius // the baseline transmits at R regardless
 	}
-	return &Result{
-		G:         gr,
-		GR:        gr,
-		Pos:       append([]Point(nil), nodes...),
-		Radii:     radii,
-		Powers:    powers,
-		Boundary:  boundary,
-		AvgDegree: graph.AvgDegree(gr),
-		AvgRadius: m.MaxRadius,
-		model:     m,
-	}, nil
+	res := newResult(nodes, e.model, nil, gr, gr, radii)
+	res.AvgRadius = e.model.MaxRadius // exactly R, not a rounded sum of n copies
+	return res, nil
 }

@@ -272,11 +272,11 @@ func TestEngineSimulateCancelled(t *testing.T) {
 // the legacy serial implementation did; the fixture bands in
 // table1_test.go check absolute calibration, this checks determinism.
 func TestRunTable1Deterministic(t *testing.T) {
-	a, err := RunTable1(Table1Params{Networks: 3})
+	a, err := RunTable1(context.Background(), Table1Params{Networks: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunTable1Context(context.Background(), Table1Params{Networks: 3})
+	b, err := RunTable1(context.Background(), Table1Params{Networks: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -100,13 +100,7 @@ type Table1Result struct {
 	Cells []Table1Cell
 }
 
-// RunTable1 regenerates the paper's Table 1 with a background context;
-// see RunTable1Context.
-func RunTable1(params Table1Params) (*Table1Result, error) {
-	return RunTable1Context(context.Background(), params)
-}
-
-// RunTable1Context regenerates the paper's Table 1: it draws
+// RunTable1 regenerates the paper's Table 1: it draws
 // Params.Networks random networks, runs every optimization stack on
 // each, and averages the degree and radius statistics.
 //
@@ -116,7 +110,7 @@ func RunTable1(params Table1Params) (*Table1Result, error) {
 // same α, as it does not depend on the optimizations), and the
 // optimization stacks are then derived per network on the same worker
 // pool. Cancelling ctx aborts the run.
-func RunTable1Context(ctx context.Context, params Table1Params) (*Table1Result, error) {
+func RunTable1(ctx context.Context, params Table1Params) (*Table1Result, error) {
 	p := params.withDefaults()
 	placements := p.placements()
 	cols := Table1Columns()
@@ -230,19 +224,14 @@ type Panel struct {
 	Result *Result
 }
 
-// Figure6Panels regenerates the paper's Figure 6 with a background
-// context; see Figure6PanelsContext.
-func Figure6Panels(seed uint64) ([]Panel, error) {
-	return Figure6PanelsContext(context.Background(), seed)
-}
-
-// Figure6PanelsContext regenerates the paper's Figure 6 on one random
+// Figure6Panels regenerates the paper's Figure 6 on one random
 // network drawn with the paper's parameters: the same 100-node placement
 // run through (a) no topology control, (b,c) the basic algorithm at 2π/3
 // and 5π/6, (d,e) with shrink-back, (f) shrink-back plus asymmetric edge
 // removal at 2π/3, and (g,h) all applicable optimizations. The eight
-// independent configurations run on the batch worker pool.
-func Figure6PanelsContext(ctx context.Context, seed uint64) ([]Panel, error) {
+// independent configurations run on the batch worker pool. Cancelling
+// ctx aborts the remaining panels.
+func Figure6Panels(ctx context.Context, seed uint64) ([]Panel, error) {
 	pos := workload.PaperNetwork(seed)
 	at23 := WithAlpha(AlphaAsymmetric)
 	at56 := WithAlpha(AlphaConnectivity)

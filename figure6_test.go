@@ -1,12 +1,13 @@
 package cbtc
 
 import (
+	"context"
 	"testing"
 )
 
 func panels(t *testing.T) map[string]Panel {
 	t.Helper()
-	ps, err := Figure6Panels(42)
+	ps, err := Figure6Panels(context.Background(), 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,11 +102,11 @@ func TestFigure6DenseAreaRadiusReduction(t *testing.T) {
 }
 
 func TestFigure6Deterministic(t *testing.T) {
-	a, err := Figure6Panels(7)
+	a, err := Figure6Panels(context.Background(), 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Figure6Panels(7)
+	b, err := Figure6Panels(context.Background(), 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +115,7 @@ func TestFigure6Deterministic(t *testing.T) {
 			t.Errorf("panel %s not deterministic", a[i].Key)
 		}
 	}
-	c, err := Figure6Panels(8)
+	c, err := Figure6Panels(context.Background(), 8)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,137 +4,94 @@
 // Yao/θ-graph ([3,7] — the position-based cousin of the cone idea), and
 // the minimum-maximum-radius assignment in the spirit of Ramanathan &
 // Rosales-Hain [12]. All constructions are restricted to the
-// maximum-power graph G_R: only pairs within radius r are considered.
+// maximum-power graph G_R: only pairs joined by a G_R edge are considered.
 //
 // Unlike CBTC, every baseline here requires exact position information —
 // reproducing the paper's argument that CBTC achieves comparable
 // topologies from directional measurements alone.
 //
-// Every construction is grid-accelerated: an Index built once over the
-// placement answers the "nodes within r of p" queries that dominate both
-// the pair enumeration and the witness scans, so the baselines scale the
-// same way the CBTC oracle does. The package-level functions build a
-// throwaway Index; callers constructing several baselines over one
-// placement (CompareBaselines) should build the Index once and reuse it.
+// An Index built once per placement holds G_R — built by
+// core.MaxPowerGraph, the module's single G_R authority, so a shadowed
+// propagation model decides the baselines' candidate links exactly as it
+// decides CBTC's — and the spatial grid that answers the witness scans'
+// "nodes within r of p" queries. Every construction takes its candidate
+// pairs from G_R's rows, so the baselines scale the way the CBTC oracle
+// does and can never emit an edge outside G_R.
 package baseline
 
 import (
 	"fmt"
 	"math"
 
+	"cbtc/internal/core"
 	"cbtc/internal/geom"
 	"cbtc/internal/graph"
 	"cbtc/internal/radio"
 	"cbtc/internal/spatial"
 )
 
-// Index is a reusable spatial accelerator for one placement and radius:
-// every baseline construction over the same placement shares the one
-// grid. It is safe for concurrent use — all methods are read-only over
-// the underlying grid.
+// Index is a reusable accelerator for one placement under one
+// propagation model: every baseline construction over the placement
+// shares its G_R and its grid. It is safe for concurrent use — all
+// methods are read-only over the shared state.
 type Index struct {
 	pos  []geom.Point
-	r    float64
+	prop radio.Propagation
 	grid *spatial.Grid
-	// prop is the propagation model the index answers link questions
-	// with. linked records whether it carries per-link state (shadowing):
-	// when false, the pure squared-distance admission check — byte-for-
-	// byte the historical predicate — is used instead of a per-pair
-	// interface dispatch.
-	prop   radio.Propagation
-	linked bool
+	gr   *graph.Graph
 }
 
-// NewIndex builds the shared accelerator for the placement with
-// maximum-power radius r under the pure distance predicate (equivalent
-// to a power-law model with maximum radius r).
-func NewIndex(pos []geom.Point, r float64) *Index {
-	return &Index{pos: pos, r: r, grid: spatial.New(pos, r), prop: radio.Default(r)}
+// NewIndex builds the shared accelerator for the placement under the
+// propagation model p: a grid sized to the model's per-link radius bound,
+// and G_R built over that grid by core.MaxPowerGraph.
+func NewIndex(pos []geom.Point, p radio.Propagation) *Index {
+	grid := spatial.New(pos, p.MaxLinkRadius())
+	return &Index{pos: pos, prop: p, grid: grid, gr: core.MaxPowerGraph(pos, p, grid, 1)}
 }
 
-// NewPropagationIndex builds the shared accelerator for the placement
-// under an arbitrary propagation model: the grid is sized to the model's
-// per-link radius bound and every construction's admission check defers
-// to the model's per-link range predicate. For a pure radio.Model this
-// is identical to NewIndex(pos, m.MaxRadius).
-func NewPropagationIndex(pos []geom.Point, p radio.Propagation) *Index {
-	r := p.MaxLinkRadius()
-	return &Index{pos: pos, r: r, grid: spatial.New(pos, r), prop: p, linked: !p.DistancePure()}
-}
-
-// inRange reports whether the pair (u,v) at squared distance d2 is a
-// G_R link under the index's propagation model. Pure models keep the
-// historical squared-distance comparison; link models take the exact
-// per-link predicate on the candidates the slack-widened grid query
-// returned.
-func (ix *Index) inRange(u, v int, d2 float64) bool {
-	if !ix.linked {
-		return d2 <= ix.r*ix.r*(1+1e-12)
-	}
-	return ix.prop.LinkInRange(u, v, math.Sqrt(d2))
-}
+// GR returns the maximum-power graph every construction is restricted
+// to. It is shared with the index: treat it as read-only.
+func (ix *Index) GR() *graph.Graph { return ix.gr }
 
 // within returns the ids within radius rad of p in ascending order — a
 // tight superset query (widened by spatial.QuerySlack) whose results the
-// callers re-check with their construction's exact predicate, so edge
-// sets are identical to a naive full scan.
+// witness scans re-check with their construction's exact predicate, so
+// edge sets are identical to a naive full scan.
 func (ix *Index) within(p geom.Point, rad float64) []int {
 	return ix.grid.Within(p, rad*(1+spatial.QuerySlack))
 }
 
-// MaxPowerGraph returns G_R over the index's placement — every pair at
-// distance ≤ r — for callers that want the ground truth from the same
-// shared accelerator. The grid returns candidates ascending, so the
-// per-node half rows feed the packed arena bulk constructor directly.
-func (ix *Index) MaxPowerGraph() *graph.Graph {
-	n := len(ix.pos)
-	rows := make([][]int32, n)
-	for u := 0; u < n; u++ {
-		var row []int32
-		for _, v := range ix.within(ix.pos[u], ix.r) {
-			if v > u && ix.inRange(u, v, ix.pos[u].Dist2(ix.pos[v])) {
-				row = append(row, int32(v))
+// keepEdges returns the subgraph of G_R holding every edge {u,v} (u < v)
+// for which blocked(u, v, d(u,v)²) is false — the shape of every
+// construction that thins G_R edge by edge. Rows are emitted as ascending
+// half rows into the packed bulk constructor.
+func (ix *Index) keepEdges(blocked func(u, v int, d2 float64) bool) *graph.Graph {
+	rows := make([][]int32, len(ix.pos))
+	for u := range rows {
+		for _, v := range ix.gr.Row(u) {
+			if int(v) > u && !blocked(u, int(v), ix.pos[u].Dist2(ix.pos[v])) {
+				rows[u] = append(rows[u], v)
 			}
 		}
-		rows[u] = row
 	}
 	return graph.NewFromHalfRows(rows)
 }
 
 // RNG returns the relative neighborhood graph over G_R: the edge {u,v}
-// (d(u,v) ≤ r) survives iff no witness w is strictly closer to both
-// endpoints than they are to each other. The RNG contains the Euclidean
-// MST of every component, so it preserves G_R's connectivity. Witnesses
-// for {u,v} are strictly within d(u,v) of u, so the witness scan is a
-// radius-d(u,v) query instead of a full placement pass.
+// survives iff no witness w is strictly closer to both endpoints than
+// they are to each other. The RNG contains the Euclidean MST of every
+// component, so it preserves G_R's connectivity. Witnesses for {u,v} are
+// strictly within d(u,v) of u, so the witness scan is a radius-d(u,v)
+// query instead of a full placement pass.
 func (ix *Index) RNG() *graph.Graph {
-	n := len(ix.pos)
-	g := graph.New(n)
-	for u := 0; u < n; u++ {
-		for _, v := range ix.within(ix.pos[u], ix.r) {
-			if v <= u {
-				continue
-			}
-			d2 := ix.pos[u].Dist2(ix.pos[v])
-			if !ix.inRange(u, v, d2) {
-				continue
-			}
-			witness := false
-			for _, w := range ix.within(ix.pos[u], math.Sqrt(d2)) {
-				if w == u || w == v {
-					continue
-				}
-				if ix.pos[w].Dist2(ix.pos[u]) < d2 && ix.pos[w].Dist2(ix.pos[v]) < d2 {
-					witness = true
-					break
-				}
-			}
-			if !witness {
-				g.AddEdge(u, v)
+	return ix.keepEdges(func(u, v int, d2 float64) bool {
+		for _, w := range ix.within(ix.pos[u], math.Sqrt(d2)) {
+			if w != u && w != v && ix.pos[w].Dist2(ix.pos[u]) < d2 && ix.pos[w].Dist2(ix.pos[v]) < d2 {
+				return true
 			}
 		}
-	}
-	return g
+		return false
+	})
 }
 
 // Gabriel returns the Gabriel graph over G_R: the edge {u,v} survives
@@ -142,41 +99,22 @@ func (ix *Index) RNG() *graph.Graph {
 // diameter. RNG ⊆ Gabriel ⊆ G_R. The blocking circle has radius
 // d(u,v)/2, so the witness scan is a radius query around the midpoint.
 func (ix *Index) Gabriel() *graph.Graph {
-	n := len(ix.pos)
-	g := graph.New(n)
-	for u := 0; u < n; u++ {
-		for _, v := range ix.within(ix.pos[u], ix.r) {
-			if v <= u {
-				continue
-			}
-			d2 := ix.pos[u].Dist2(ix.pos[v])
-			if !ix.inRange(u, v, d2) {
-				continue
-			}
-			center := ix.pos[u].Midpoint(ix.pos[v])
-			rad2 := d2 / 4
-			inside := false
-			for _, w := range ix.within(center, math.Sqrt(rad2)) {
-				if w == u || w == v {
-					continue
-				}
-				if ix.pos[w].Dist2(center) < rad2 {
-					inside = true
-					break
-				}
-			}
-			if !inside {
-				g.AddEdge(u, v)
+	return ix.keepEdges(func(u, v int, d2 float64) bool {
+		center := ix.pos[u].Midpoint(ix.pos[v])
+		rad2 := d2 / 4
+		for _, w := range ix.within(center, math.Sqrt(rad2)) {
+			if w != u && w != v && ix.pos[w].Dist2(center) < rad2 {
+				return true
 			}
 		}
-	}
-	return g
+		return false
+	})
 }
 
 // Yao returns the Yao (θ-) digraph over G_R with k sectors: each node
 // keeps, in each of k equal angular sectors, a directed edge to its
-// nearest in-range neighbor (ties broken by index). For k ≥ 6 (sector
-// angle ≤ π/3) the symmetric closure preserves G_R's connectivity — the
+// nearest G_R neighbor (ties broken by index). For k ≥ 6 (sector angle
+// ≤ π/3) the symmetric closure preserves G_R's connectivity — the
 // positional analogue of CBTC's cone condition.
 func (ix *Index) Yao(k int) (*graph.Digraph, error) {
 	if k < 1 {
@@ -192,14 +130,9 @@ func (ix *Index) Yao(k int) (*graph.Digraph, error) {
 			best[s] = -1
 			bestD2[s] = math.Inf(1)
 		}
-		for _, v := range ix.within(ix.pos[u], ix.r) {
-			if v == u {
-				continue
-			}
+		for _, w := range ix.gr.Row(u) {
+			v := int(w)
 			d2 := ix.pos[u].Dist2(ix.pos[v])
-			if !ix.inRange(u, v, d2) {
-				continue
-			}
 			s := int(ix.pos[u].Bearing(ix.pos[v]) / sector)
 			if s >= k { // bearing can round to exactly 2π
 				s = k - 1
@@ -239,65 +172,35 @@ func (ix *Index) BetaSkeleton(beta float64) (*graph.Graph, error) {
 	if beta < 1 {
 		return nil, fmt.Errorf("baseline: lune-based skeleton needs β ≥ 1, got %v", beta)
 	}
-	n := len(ix.pos)
-	g := graph.New(n)
-	for u := 0; u < n; u++ {
-		for _, v := range ix.within(ix.pos[u], ix.r) {
-			if v <= u {
-				continue
-			}
-			d2 := ix.pos[u].Dist2(ix.pos[v])
-			if !ix.inRange(u, v, d2) {
-				continue
-			}
-			lRad := beta * math.Sqrt(d2) / 2
-			c1 := ix.pos[u].Scale(1 - beta/2).Add(ix.pos[v].Scale(beta / 2))
-			c2 := ix.pos[u].Scale(beta / 2).Add(ix.pos[v].Scale(1 - beta/2))
-			inside := false
-			for _, w := range ix.within(c1, lRad) {
-				if w == u || w == v {
-					continue
-				}
-				if ix.pos[w].Dist(c1) < lRad && ix.pos[w].Dist(c2) < lRad {
-					inside = true
-					break
-				}
-			}
-			if !inside {
-				g.AddEdge(u, v)
+	return ix.keepEdges(func(u, v int, d2 float64) bool {
+		lRad := beta * math.Sqrt(d2) / 2
+		c1 := ix.pos[u].Scale(1 - beta/2).Add(ix.pos[v].Scale(beta / 2))
+		c2 := ix.pos[u].Scale(beta / 2).Add(ix.pos[v].Scale(1 - beta/2))
+		for _, w := range ix.within(c1, lRad) {
+			if w != u && w != v && ix.pos[w].Dist(c1) < lRad && ix.pos[w].Dist(c2) < lRad {
+				return true
 			}
 		}
-	}
-	return g, nil
+		return false
+	}), nil
 }
 
 // MinMaxRadius assigns each node the smallest radius that keeps the
 // network connected under a common spanning structure — the objective of
 // Ramanathan & Rosales-Hain's centralized algorithm. Each node's radius
 // is its longest incident edge in the Euclidean minimum spanning forest
-// of G_R; the returned graph contains every pair mutually within their
-// assigned radii (which always includes the forest itself).
+// of G_R; the returned graph contains every G_R pair mutually within
+// their assigned radii (which always includes the forest itself).
 func (ix *Index) MinMaxRadius() (*graph.Graph, []float64) {
-	n := len(ix.pos)
-	gr := ix.MaxPowerGraph()
-	mst := graph.MST(gr, graph.EuclideanWeight(ix.pos))
-	radii := make([]float64, n)
-	for u := 0; u < n; u++ {
+	mst := graph.MST(ix.gr, graph.EuclideanWeight(ix.pos))
+	radii := make([]float64, len(ix.pos))
+	for u := range radii {
 		radii[u] = graph.NodeRadius(mst, ix.pos, u)
 	}
-	out := graph.New(n)
-	for u := 0; u < n; u++ {
-		ru := radii[u] * (1 + 1e-12)
-		for _, v := range ix.within(ix.pos[u], ru) {
-			if v <= u {
-				continue
-			}
-			d := ix.pos[u].Dist(ix.pos[v])
-			if d <= radii[u]*(1+1e-12) && d <= radii[v]*(1+1e-12) {
-				out.AddEdge(u, v)
-			}
-		}
-	}
+	out := ix.keepEdges(func(u, v int, _ float64) bool {
+		d := ix.pos[u].Dist(ix.pos[v])
+		return d > radii[u]*(1+1e-12) || d > radii[v]*(1+1e-12)
+	})
 	return out, radii
 }
 
@@ -313,20 +216,11 @@ func (ix *Index) MinMaxRadius() (*graph.Graph, []float64) {
 // at all: its links are dropped before the spanning pass, so dead nodes
 // come out isolated and the forest reroutes around them.
 func (ix *Index) EnergyMST(residual []float64) *graph.Graph {
-	gr := ix.MaxPowerGraph()
+	gr := ix.gr
 	if residual != nil {
-		pruned := graph.New(gr.Len())
-		for u := 0; u < gr.Len(); u++ {
-			if residual[u] <= 0 {
-				continue
-			}
-			for _, v := range gr.Neighbors(u) {
-				if u < v && residual[v] > 0 {
-					pruned.AddEdge(u, v)
-				}
-			}
-		}
-		gr = pruned
+		gr = ix.keepEdges(func(u, v int, _ float64) bool {
+			return residual[u] <= 0 || residual[v] <= 0
+		})
 	}
 	w := func(u, v int) float64 {
 		d := ix.pos[u].Dist(ix.pos[v])
@@ -337,45 +231,4 @@ func (ix *Index) EnergyMST(residual []float64) *graph.Graph {
 		return cost
 	}
 	return graph.MST(gr, w)
-}
-
-// EnergyRadii assigns each node its longest incident edge in the given
-// spanning structure — the per-node broadcast radius that realizes it.
-func (ix *Index) EnergyRadii(forest *graph.Graph) []float64 {
-	radii := make([]float64, len(ix.pos))
-	for u := range ix.pos {
-		radii[u] = graph.NodeRadius(forest, ix.pos, u)
-	}
-	return radii
-}
-
-// RNG builds the relative neighborhood graph with a throwaway Index.
-func RNG(pos []geom.Point, r float64) *graph.Graph {
-	return NewIndex(pos, r).RNG()
-}
-
-// Gabriel builds the Gabriel graph with a throwaway Index.
-func Gabriel(pos []geom.Point, r float64) *graph.Graph {
-	return NewIndex(pos, r).Gabriel()
-}
-
-// Yao builds the Yao digraph with a throwaway Index.
-func Yao(pos []geom.Point, r float64, k int) (*graph.Digraph, error) {
-	return NewIndex(pos, r).Yao(k)
-}
-
-// YaoSymmetric builds the symmetric Yao graph with a throwaway Index.
-func YaoSymmetric(pos []geom.Point, r float64, k int) (*graph.Graph, error) {
-	return NewIndex(pos, r).YaoSymmetric(k)
-}
-
-// BetaSkeleton builds the β-skeleton with a throwaway Index.
-func BetaSkeleton(pos []geom.Point, r, beta float64) (*graph.Graph, error) {
-	return NewIndex(pos, r).BetaSkeleton(beta)
-}
-
-// MinMaxRadius builds the min-max-radius assignment with a throwaway
-// Index.
-func MinMaxRadius(pos []geom.Point, r float64) (*graph.Graph, []float64) {
-	return NewIndex(pos, r).MinMaxRadius()
 }

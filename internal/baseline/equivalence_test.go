@@ -6,6 +6,7 @@ import (
 
 	"cbtc/internal/geom"
 	"cbtc/internal/graph"
+	"cbtc/internal/radio"
 	"cbtc/internal/workload"
 )
 
@@ -197,7 +198,7 @@ func TestGridMatchesNaiveConstructions(t *testing.T) {
 		{"lattice-ties", workload.Grid(workload.Rand(25), 64, 0, 1600, 1600)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			ix := NewIndex(tc.pos, r)
+			ix := NewIndex(tc.pos, radio.Default(r))
 			sameGraph(t, "rng", naiveRNG(tc.pos, r), ix.RNG())
 			sameGraph(t, "gabriel", naiveGabriel(tc.pos, r), ix.Gabriel())
 			yao, err := ix.Yao(6)
@@ -228,7 +229,7 @@ func TestGridMatchesNaiveConstructions(t *testing.T) {
 					}
 				}
 			}
-			sameGraph(t, "max-power", naiveGR, ix.MaxPowerGraph())
+			sameGraph(t, "max-power", naiveGR, ix.GR())
 		})
 	}
 }

@@ -58,7 +58,7 @@ func TestOracleGridMatchesNaive(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: naive: %v", tc.name, err)
 			}
-			grid, err := RunContext(ctx, tc.pos, m, alpha)
+			grid, err := Run(ctx, tc.pos, m, alpha, 1)
 			if err != nil {
 				t.Fatalf("%s: grid: %v", tc.name, err)
 			}
@@ -73,8 +73,8 @@ func TestMaxPowerGraphGridMatchesNaive(t *testing.T) {
 	m := radio.Default(workload.PaperRadius)
 	for seed := uint64(0); seed < 5; seed++ {
 		pos := workload.Uniform(workload.Rand(seed), 150, 2000, 2000)
-		naive := MaxPowerGraphIndexed(pos, m, nil)
-		grid := MaxPowerGraph(pos, m)
+		naive := MaxPowerGraphNaive(pos, m)
+		grid := MaxPowerGraph(pos, m, nil, 1)
 		ne, ge := naive.Edges(), grid.Edges()
 		if len(ne) != len(ge) {
 			t.Fatalf("seed %d: edge counts diverge: %d vs %d", seed, len(ne), len(ge))
@@ -108,9 +108,9 @@ func TestRunNodeAliveMaskWithIndex(t *testing.T) {
 		if !alive[u] {
 			continue
 		}
-		want := RunNode(pos, alive, m, AlphaConnectivity, u, nil)
-		gotFull := RunNode(pos, alive, m, AlphaConnectivity, u, full)
-		gotLive := RunNode(pos, alive, m, AlphaConnectivity, u, liveOnly)
+		want := new(NodeRunner).RunNode(pos, alive, m, AlphaConnectivity, u, nil)
+		gotFull := new(NodeRunner).RunNode(pos, alive, m, AlphaConnectivity, u, full)
+		gotLive := new(NodeRunner).RunNode(pos, alive, m, AlphaConnectivity, u, liveOnly)
 		for _, got := range []NodeResult{gotFull, gotLive} {
 			if got.GrowPower != want.GrowPower || got.Boundary != want.Boundary || len(got.Neighbors) != len(want.Neighbors) {
 				t.Fatalf("node %d: masked results diverge: %+v vs %+v", u, got, want)

@@ -17,7 +17,7 @@ func TestShrinkBackPreservesConnectivity(t *testing.T) {
 	for _, alpha := range []float64{AlphaAsymmetric, AlphaConnectivity} {
 		for seed := uint64(0); seed < 15; seed++ {
 			pos := workload.Uniform(workload.Rand(seed), 70, 1500, 1500)
-			gr := MaxPowerGraph(pos, m)
+			gr := MaxPowerGraph(pos, m, nil, 1)
 			e := mustRun(t, pos, m, alpha)
 			shrunk := ShrinkBack(e)
 			gs := shrunk.Nalpha().SymmetricClosure()
@@ -124,7 +124,7 @@ func TestAsymmetricRemovalPreservesConnectivity(t *testing.T) {
 	for _, alpha := range []float64{math.Pi / 2, AlphaAsymmetric} {
 		for seed := uint64(0); seed < 15; seed++ {
 			pos := workload.Uniform(workload.Rand(seed), 70, 1500, 1500)
-			gr := MaxPowerGraph(pos, m)
+			gr := MaxPowerGraph(pos, m, nil, 1)
 			e := mustRun(t, pos, m, alpha)
 			topo, err := BuildTopology(e, Options{ShrinkBack: true, AsymmetricRemoval: true})
 			if err != nil {
@@ -157,7 +157,7 @@ func TestAsymmetricRemovalWouldBreakExample21(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := mustRun(t, pos, m, alpha)
-	gr := MaxPowerGraph(pos, m)
+	gr := MaxPowerGraph(pos, m, nil, 1)
 	mutual := e.Nalpha().MutualSubgraph()
 	if graph.SamePartition(gr, mutual) {
 		t.Errorf("mutual subgraph must disconnect v on Example 2.1 (this is the counterexample)")
@@ -172,7 +172,7 @@ func TestPairwiseRemovalPreservesConnectivity(t *testing.T) {
 		for _, alpha := range []float64{AlphaAsymmetric, AlphaConnectivity} {
 			for seed := uint64(0); seed < 15; seed++ {
 				pos := workload.Uniform(workload.Rand(seed), 70, 1500, 1500)
-				gr := MaxPowerGraph(pos, m)
+				gr := MaxPowerGraph(pos, m, nil, 1)
 				e := mustRun(t, pos, m, alpha)
 				topo, err := BuildTopology(e, Options{
 					ShrinkBack:      true,
@@ -265,7 +265,7 @@ func TestPairwisePolicies(t *testing.T) {
 		t.Errorf("pairwise removal must only remove edges")
 	}
 	// Both policies preserve connectivity.
-	gr := MaxPowerGraph(pos, m)
+	gr := MaxPowerGraph(pos, m, nil, 1)
 	for name, g := range map[string]*graph.Graph{"filtered": filtered, "all": all} {
 		if !graph.SamePartition(gr, g) {
 			t.Errorf("policy %s broke connectivity", name)
@@ -325,7 +325,7 @@ func TestAllOptimizationStacksPreserveConnectivity(t *testing.T) {
 		t.Run(st.name, func(t *testing.T) {
 			for seed := uint64(100); seed < 110; seed++ {
 				pos := workload.Uniform(workload.Rand(seed), 80, 1500, 1500)
-				gr := MaxPowerGraph(pos, m)
+				gr := MaxPowerGraph(pos, m, nil, 1)
 				e := mustRun(t, pos, m, st.alpha)
 				topo, err := BuildTopology(e, st.opts)
 				if err != nil {

@@ -13,8 +13,9 @@ import (
 // Index is the candidate provider the oracle's hot paths query instead
 // of scanning the whole placement: Within(p, r) must return every node id
 // whose position lies within distance r of p, in ascending id order.
-// *spatial.Grid satisfies it. A nil Index means a full placement scan —
-// the naive reference path the equivalence tests compare against.
+// *spatial.Grid satisfies it. A nil Index handed to NodeRunner.RunNode
+// means a full placement scan — the naive reference path the equivalence
+// tests compare against; MaxPowerGraph builds a grid instead.
 type Index interface {
 	Within(p geom.Point, r float64) []int
 }
@@ -44,47 +45,29 @@ const distTieTol = 1e-12
 // α-gap. The propagation model m decides per-link reachability; the
 // distance-pure power law takes the historical distance-ordered path,
 // bit-identical to when the oracle hardcoded it.
-func Run(pos []geom.Point, m radio.Propagation, alpha float64) (*Execution, error) {
-	return RunContext(context.Background(), pos, m, alpha)
+//
+// A uniform grid with cell size MaxLinkRadius is built once over the
+// placement and shared by every per-node candidate gather, making the
+// oracle Θ(n·k) for k in-range neighbors instead of Θ(n²). The per-node
+// computations are fanned across `workers` goroutines (non-positive
+// means GOMAXPROCS; 1 is the serial path): each node's cone test depends
+// only on the read-only placement, grid and propagation model, so the
+// output is identical — edge for edge, bit for bit — at every worker
+// count. Run polls ctx per worker between node computations and returns
+// ctx.Err() if the context ends before the execution completes.
+func Run(ctx context.Context, pos []geom.Point, m radio.Propagation, alpha float64, workers int) (*Execution, error) {
+	return run(ctx, pos, m, alpha, true, workers)
 }
 
-// ctxCheckStride is how many nodes RunContext processes between context
-// polls: frequent enough to abort large runs promptly, rare enough that
-// the poll cost vanishes against the per-node O(n log n) work.
-const ctxCheckStride = 16
-
-// RunContext is Run with cooperative cancellation: it polls ctx between
-// node computations and returns ctx.Err() if the context ends before the
-// execution completes. A uniform grid with cell size MaxLinkRadius is
-// built once over the placement and shared by every per-node candidate
-// gather, making the oracle Θ(n·k) for k in-range neighbors instead of
-// Θ(n²).
-func RunContext(ctx context.Context, pos []geom.Point, m radio.Propagation, alpha float64) (*Execution, error) {
-	return runContext(ctx, pos, m, alpha, true, 1)
-}
-
-// RunParallel is RunContext with the per-node computations fanned across
-// a pool of `workers` goroutines (non-positive means GOMAXPROCS; 1 is the
-// serial path). Each node's cone test depends only on the read-only
-// placement, the shared immutable grid and the deterministic propagation
-// model, so workers claim chunks of the node range from an atomic
-// counter, keep private gather scratch, and write disjoint Execution
-// slots. The output is identical — edge for edge, bit for bit — at every
-// worker count; only wall-clock changes. Cancellation is polled per
-// worker on its own stride, so latency does not grow with the pool size.
-func RunParallel(ctx context.Context, pos []geom.Point, m radio.Propagation, alpha float64, workers int) (*Execution, error) {
-	return runContext(ctx, pos, m, alpha, true, workers)
-}
-
-// RunNaive is RunContext without the spatial index: every candidate
-// gather scans the full placement. It is the reference implementation the
-// naive-vs-grid equivalence tests and benchmarks compare against; both
-// paths produce identical Executions.
+// RunNaive is Run without the spatial index and on one worker: every
+// candidate gather scans the full placement. It is the reference
+// implementation the naive-vs-grid equivalence tests and benchmarks
+// compare against; both paths produce identical Executions.
 func RunNaive(ctx context.Context, pos []geom.Point, m radio.Propagation, alpha float64) (*Execution, error) {
-	return runContext(ctx, pos, m, alpha, false, 1)
+	return run(ctx, pos, m, alpha, false, 1)
 }
 
-func runContext(ctx context.Context, pos []geom.Point, m radio.Propagation, alpha float64, indexed bool, workers int) (*Execution, error) {
+func run(ctx context.Context, pos []geom.Point, m radio.Propagation, alpha float64, indexed bool, workers int) (*Execution, error) {
 	if err := validateInput(pos, m, alpha); err != nil {
 		return nil, err
 	}
@@ -99,9 +82,9 @@ func runContext(ctx context.Context, pos []geom.Point, m radio.Propagation, alph
 		Nodes: make([]NodeResult, len(pos)),
 	}
 	workers = ResolveWorkers(workers, len(pos))
-	scratch := make([]gatherScratch, workers)
+	runners := make([]NodeRunner, workers)
 	err := ParallelRange(ctx, len(pos), workers, func(w, u int) {
-		exec.Nodes[u] = runNode(pos, nil, m, alpha, u, idx, &scratch[w])
+		exec.Nodes[u] = runners[w].RunNode(pos, nil, m, alpha, u, idx)
 	})
 	if err != nil {
 		return nil, err
@@ -109,22 +92,28 @@ func runContext(ctx context.Context, pos []geom.Point, m radio.Propagation, alph
 	return exec, nil
 }
 
-// NodeRunner is a reusable RunNode executor: it owns the gather scratch
-// buffers a bare RunNode call would allocate fresh, so callers that
-// recompute many nodes (session batch repair, the parallel oracle's
-// workers) amortize the buffers across calls. A NodeRunner is not safe
-// for concurrent use — give each worker its own.
+// NodeRunner is a reusable per-node oracle executor: it owns the gather
+// scratch buffers, so callers that recompute many nodes (session batch
+// repair, the parallel oracle's workers) amortize the buffers across
+// calls. A NodeRunner is not safe for concurrent use — give each worker
+// its own; the zero value is ready to use.
 type NodeRunner struct {
 	scr gatherScratch
 }
 
-// RunNode computes N_α(u) exactly as the package-level RunNode does,
-// reusing the runner's scratch buffers.
+// RunNode computes N_α(u) for a single node under the minimal-power
+// semantics, considering only nodes v with alive[v] as candidates (a nil
+// mask means every node is alive). The per-node form is what incremental
+// §4 reconfiguration uses: after a join/leave/move, only the nodes whose
+// candidate set changed need recomputing. The candidate provider idx
+// restricts the gather to nodes within MaxLinkRadius of u; nil falls
+// back to a full placement scan. Both paths admit exactly the same
+// candidates.
 func (r *NodeRunner) RunNode(pos []geom.Point, alive []bool, m radio.Propagation, alpha float64, u int, idx Index) NodeResult {
 	return runNode(pos, alive, m, alpha, u, idx, &r.scr)
 }
 
-// gatherScratch holds the per-node gather buffers RunContext reuses
+// gatherScratch holds the per-node gather buffers a NodeRunner reuses
 // across nodes; nothing stored in it outlives a single runNode call.
 type gatherScratch struct {
 	ids    []int
@@ -148,18 +137,6 @@ type linkCandidate struct {
 	id   int
 	dist float64
 	need float64
-}
-
-// RunNode computes N_α(u) for a single node under the minimal-power
-// semantics, considering only nodes v with alive[v] as candidates (a nil
-// mask means every node is alive). The per-node form is what incremental
-// §4 reconfiguration uses: after a join/leave/move, only the nodes whose
-// candidate set changed need recomputing. The candidate provider idx
-// restricts the gather to nodes within MaxLinkRadius of u; nil falls
-// back to a full placement scan. Both paths admit exactly the same
-// candidates.
-func RunNode(pos []geom.Point, alive []bool, m radio.Propagation, alpha float64, u int, idx Index) NodeResult {
-	return runNode(pos, alive, m, alpha, u, idx, &gatherScratch{})
 }
 
 // runNode dispatches on the model's purity: the distance-pure power law
@@ -388,77 +365,31 @@ func sameDist(a, b float64) bool {
 // MaxPowerGraph returns G_R: the graph induced by every node transmitting
 // with maximum power — for the pure power law, edges between all pairs at
 // distance ≤ R; for link-dependent models, pairs whose link is
-// establishable at maximum power. It builds a throwaway grid over the
-// placement, replacing the quadratic all-pairs scan with per-node radius
-// queries; MaxPowerGraphIndexed accepts a caller-maintained index
-// instead.
-func MaxPowerGraph(pos []geom.Point, m radio.Propagation) *graph.Graph {
-	return MaxPowerGraphIndexed(pos, m, spatial.New(pos, m.MaxLinkRadius()))
-}
-
-// MaxPowerGraphIndexed is MaxPowerGraph over a caller-supplied candidate
-// index (nil falls back to the naive all-pairs scan). The edge set is
-// identical on both paths: the index pre-filters and the exact per-link
-// predicate decides. Both paths emit per-node ascending half rows, so
-// the graph is bulk-built into one packed arena instead of edge by edge.
-func MaxPowerGraphIndexed(pos []geom.Point, m radio.Propagation, idx Index) *graph.Graph {
-	rows := make([][]int32, len(pos))
+// establishable at maximum power. It is the single G_R builder: every
+// from-scratch ground truth in the module comes from here, and sessions
+// maintain theirs incrementally through AppendMaxPowerNeighbors, which
+// applies the same predicate.
+//
+// idx is the candidate index the per-node radius queries run against; nil
+// builds a grid over the placement (Sessions pass their live-node grid,
+// the baselines the grid they reuse for witness scans). The queries are
+// fanned across `workers` goroutines (non-positive means GOMAXPROCS) over
+// the read-only index; each node's ascending half row lands in its own
+// slot, and the packed arena is filled in one serial pass, so the graph
+// is identical at every worker count.
+func MaxPowerGraph(pos []geom.Point, m radio.Propagation, idx Index, workers int) *graph.Graph {
 	if idx == nil {
-		rr, _ := maxPowerRadii(m)
-		pure := m.DistancePure()
-		for u := 0; u < len(pos); u++ {
-			var row []int32
-			for v := u + 1; v < len(pos); v++ {
-				d := pos[u].Dist(pos[v])
-				if d <= rr && (pure || m.LinkInRange(u, v, d)) {
-					row = append(row, int32(v))
-				}
-			}
-			rows[u] = row
-		}
-		return graph.NewFromHalfRows(rows)
-	}
-	var scratch []int
-	for u := 0; u < len(pos); u++ {
-		// The grid returns ascending ids, so the v > u filter keeps the
-		// half row sorted by construction.
-		scratch = appendMaxPowerNeighbors(scratch[:0], pos, m, u, idx)
-		var row []int32
-		for _, v := range scratch {
-			if v > u {
-				row = append(row, int32(v))
-			}
-		}
-		rows[u] = row
-	}
-	return graph.NewFromHalfRows(rows)
-}
-
-// MaxPowerGraphParallel is MaxPowerGraph with the per-node radius queries
-// fanned across a worker pool (non-positive workers means GOMAXPROCS);
-// MaxPowerGraphParallelIndexed reuses a caller-maintained index instead
-// of building one. The distance filtering — the Θ(n·k) part — runs in
-// parallel over the read-only grid; the edge assembly is a cheap serial
-// pass, so the graph is identical to the serial build at every worker
-// count.
-func MaxPowerGraphParallel(pos []geom.Point, m radio.Propagation, workers int) *graph.Graph {
-	return MaxPowerGraphParallelIndexed(pos, m, spatial.New(pos, m.MaxLinkRadius()), workers)
-}
-
-// MaxPowerGraphParallelIndexed is MaxPowerGraphParallel over a
-// caller-supplied candidate index (Sessions pass their live-node grid to
-// avoid rebuilding one over the same placement).
-func MaxPowerGraphParallelIndexed(pos []geom.Point, m radio.Propagation, idx Index, workers int) *graph.Graph {
-	workers = ResolveWorkers(workers, len(pos))
-	if workers <= 1 {
-		return MaxPowerGraphIndexed(pos, m, idx)
+		idx = spatial.New(pos, m.MaxLinkRadius())
 	}
 	rows := make([][]int32, len(pos))
+	workers = ResolveWorkers(workers, len(pos))
 	scratch := make([][]int, workers)
 	// ctx is inert here: the gather is pure computation with no caller to
 	// cancel it (Engine.MaxPower has no context parameter).
 	_ = ParallelRange(context.Background(), len(pos), workers, func(w, u int) {
-		scratch[w] = appendMaxPowerNeighbors(scratch[w][:0], pos, m, u, idx)
+		// The index returns ascending ids, so the v > u filter keeps the
+		// half row sorted by construction.
+		scratch[w] = AppendMaxPowerNeighbors(scratch[w][:0], pos, m, u, idx)
 		var row []int32
 		for _, v := range scratch[w] {
 			if v > u {
@@ -467,17 +398,26 @@ func MaxPowerGraphParallelIndexed(pos []geom.Point, m radio.Propagation, idx Ind
 		}
 		rows[u] = row
 	})
-	// The parallel gather produced exactly the ascending half rows the
-	// packed bulk constructor wants; assembly is one serial arena fill.
 	return graph.NewFromHalfRows(rows)
 }
 
-// AppendMaxPowerNeighbors appends the ids of indexed nodes within
-// maximum-power range of pos[u] — exactly the nodes MaxPowerGraph would
-// connect to u. Sessions use it to maintain their ground-truth G_R
-// incrementally instead of rebuilding the full graph per snapshot.
-func AppendMaxPowerNeighbors(dst []int, pos []geom.Point, m radio.Propagation, u int, idx Index) []int {
-	return appendMaxPowerNeighbors(dst, pos, m, u, idx)
+// MaxPowerGraphNaive is MaxPowerGraph by an all-pairs scan — the
+// reference the grid equivalence tests pin the indexed build against.
+func MaxPowerGraphNaive(pos []geom.Point, m radio.Propagation) *graph.Graph {
+	rr, _ := maxPowerRadii(m)
+	pure := m.DistancePure()
+	rows := make([][]int32, len(pos))
+	for u := 0; u < len(pos); u++ {
+		var row []int32
+		for v := u + 1; v < len(pos); v++ {
+			d := pos[u].Dist(pos[v])
+			if d <= rr && (pure || m.LinkInRange(u, v, d)) {
+				row = append(row, int32(v))
+			}
+		}
+		rows[u] = row
+	}
+	return graph.NewFromHalfRows(rows)
 }
 
 // maxPowerRadii is the single source of the max-power reachability
@@ -493,9 +433,12 @@ func maxPowerRadii(m radio.Propagation) (rr, qr float64) {
 	return rr, rr * (1 + spatial.QuerySlack)
 }
 
-// appendMaxPowerNeighbors appends every indexed v ≠ u whose link to u is
-// establishable at maximum power, in the index's ascending-id order.
-func appendMaxPowerNeighbors(dst []int, pos []geom.Point, m radio.Propagation, u int, idx Index) []int {
+// AppendMaxPowerNeighbors appends every indexed v ≠ u whose link to u is
+// establishable at maximum power, in the index's ascending-id order —
+// exactly the nodes MaxPowerGraph connects to u. Sessions use it to
+// maintain their ground-truth G_R incrementally instead of rebuilding the
+// full graph per snapshot.
+func AppendMaxPowerNeighbors(dst []int, pos []geom.Point, m radio.Propagation, u int, idx Index) []int {
 	rr, qr := maxPowerRadii(m)
 	if m.DistancePure() {
 		for _, v := range idx.Within(pos[u], qr) {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -14,7 +15,7 @@ func defaultModel() radio.Model { return radio.Default(workload.PaperRadius) }
 
 func mustRun(t *testing.T, pos []geom.Point, m radio.Model, alpha float64) *Execution {
 	t.Helper()
-	e, err := Run(pos, m, alpha)
+	e, err := Run(context.Background(), pos, m, alpha, 1)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -36,15 +37,15 @@ func TestRunValidation(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if _, err := Run(pos, m, tt.alpha); !errors.Is(err, tt.wantErr) {
+			if _, err := Run(context.Background(), pos, m, tt.alpha, 1); !errors.Is(err, tt.wantErr) {
 				t.Errorf("Run error = %v, want %v", err, tt.wantErr)
 			}
 		})
 	}
-	if _, err := Run([]geom.Point{{X: math.NaN()}}, m, math.Pi); !errors.Is(err, ErrBadInput) {
+	if _, err := Run(context.Background(), []geom.Point{{X: math.NaN()}}, m, math.Pi, 1); !errors.Is(err, ErrBadInput) {
 		t.Errorf("NaN position must be rejected")
 	}
-	if _, err := Run(pos, radio.Model{}, math.Pi); !errors.Is(err, ErrBadInput) {
+	if _, err := Run(context.Background(), pos, radio.Model{}, math.Pi, 1); !errors.Is(err, ErrBadInput) {
 		t.Errorf("invalid model must be rejected")
 	}
 }
@@ -189,7 +190,7 @@ func TestMaxPowerGraph(t *testing.T) {
 		geom.Pt(0, 0), geom.Pt(500, 0), // exactly R apart: edge
 		geom.Pt(0, 501), // out of range of node 0
 	}
-	g := MaxPowerGraph(pos, m)
+	g := MaxPowerGraph(pos, m, nil, 1)
 	if !g.HasEdge(0, 1) {
 		t.Errorf("distance exactly R must be an edge")
 	}
@@ -226,7 +227,7 @@ func TestNalphaSubgraphOfGR(t *testing.T) {
 	for seed := uint64(0); seed < 5; seed++ {
 		pos := workload.Uniform(workload.Rand(seed), 80, 1500, 1500)
 		e := mustRun(t, pos, m, AlphaConnectivity)
-		gr := MaxPowerGraph(pos, m)
+		gr := MaxPowerGraph(pos, m, nil, 1)
 		if !e.Nalpha().SymmetricClosure().IsSubgraphOf(gr) {
 			t.Errorf("seed %d: G_α is not a subgraph of G_R", seed)
 		}

@@ -13,6 +13,11 @@ import (
 // placements) still balance across workers.
 const parallelChunk = 64
 
+// ctxCheckStride is how many indices a ParallelRange worker processes
+// between context polls: frequent enough to abort large runs promptly,
+// rare enough that the poll cost vanishes against the per-node work.
+const ctxCheckStride = 16
+
 // parallelMinNodes is the index-space size below which ParallelRange
 // stays serial even when more workers were requested: goroutine startup
 // would cost more than the work it wins.

@@ -21,7 +21,7 @@ func parallelTestPlacements() map[string][]geom.Point {
 	}
 }
 
-// The tentpole determinism contract: RunParallel produces an Execution
+// The tentpole determinism contract: Run produces an Execution
 // identical to the serial path at every worker count — same neighbors in
 // the same order, same powers, same boundary flags, bit for bit.
 func TestRunParallelDeterministic(t *testing.T) {
@@ -29,12 +29,12 @@ func TestRunParallelDeterministic(t *testing.T) {
 	for name, pos := range parallelTestPlacements() {
 		t.Run(name, func(t *testing.T) {
 			ctx := context.Background()
-			serial, err := RunContext(ctx, pos, m, AlphaConnectivity)
+			serial, err := Run(ctx, pos, m, AlphaConnectivity, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{1, 2, 8, 0} {
-				par, err := RunParallel(ctx, pos, m, AlphaConnectivity, workers)
+				par, err := Run(ctx, pos, m, AlphaConnectivity, workers)
 				if err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
 				}
@@ -60,14 +60,14 @@ func TestRunParallelDeterministic(t *testing.T) {
 	}
 }
 
-// MaxPowerGraphParallel must build exactly the serial graph.
+// MaxPowerGraph must build exactly the serial graph at every worker count.
 func TestMaxPowerGraphParallelEquivalence(t *testing.T) {
 	m := radio.Default(500)
 	for name, pos := range parallelTestPlacements() {
 		t.Run(name, func(t *testing.T) {
-			want := MaxPowerGraph(pos, m)
+			want := MaxPowerGraph(pos, m, nil, 1)
 			for _, workers := range []int{1, 3, 8} {
-				if got := MaxPowerGraphParallel(pos, m, workers); !got.Equal(want) {
+				if got := MaxPowerGraph(pos, m, nil, workers); !got.Equal(want) {
 					t.Fatalf("workers=%d: parallel G_R differs from serial", workers)
 				}
 			}
@@ -83,7 +83,7 @@ func TestRunParallelPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, workers := range []int{1, 8} {
-		exec, err := RunParallel(ctx, pos, m, AlphaConnectivity, workers)
+		exec, err := Run(ctx, pos, m, AlphaConnectivity, workers)
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("workers=%d: want context.Canceled, got %v", workers, err)
 		}
@@ -107,7 +107,7 @@ func TestRunParallelCancelledMidRun(t *testing.T) {
 	}
 	done := make(chan outcome, 1)
 	go func() {
-		exec, err := RunParallel(ctx, pos, m, AlphaConnectivity, 8)
+		exec, err := Run(ctx, pos, m, AlphaConnectivity, 8)
 		done <- outcome{exec, err}
 	}()
 	time.Sleep(2 * time.Millisecond)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 	"testing/quick"
@@ -19,11 +20,11 @@ func TestQuickConnectivityPreserved(t *testing.T) {
 		n := int(nRaw%50) + 5
 		alpha := 0.3 + math.Mod(math.Abs(alphaRaw), 1)*(AlphaConnectivity-0.3)
 		pos := workload.Uniform(workload.Rand(seed), n, 1500, 1500)
-		exec, err := Run(pos, m, alpha)
+		exec, err := Run(context.Background(), pos, m, alpha, 1)
 		if err != nil {
 			return false
 		}
-		return graph.SamePartition(MaxPowerGraph(pos, m), exec.Nalpha().SymmetricClosure())
+		return graph.SamePartition(MaxPowerGraph(pos, m, nil, 1), exec.Nalpha().SymmetricClosure())
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
@@ -36,11 +37,11 @@ func TestQuickOracleDeterministic(t *testing.T) {
 	f := func(seed uint64, nRaw uint8) bool {
 		n := int(nRaw%40) + 2
 		pos := workload.Uniform(workload.Rand(seed), n, 1500, 1500)
-		a, err := Run(pos, m, AlphaConnectivity)
+		a, err := Run(context.Background(), pos, m, AlphaConnectivity, 1)
 		if err != nil {
 			return false
 		}
-		b, err := Run(pos, m, AlphaConnectivity)
+		b, err := Run(context.Background(), pos, m, AlphaConnectivity, 1)
 		if err != nil {
 			return false
 		}
@@ -76,11 +77,11 @@ func TestQuickPowerMonotoneInAlpha(t *testing.T) {
 			a, b = b, a
 		}
 		pos := workload.Uniform(workload.Rand(seed), 30, 1500, 1500)
-		ea, err := Run(pos, m, a)
+		ea, err := Run(context.Background(), pos, m, a, 1)
 		if err != nil {
 			return false
 		}
-		eb, err := Run(pos, m, b)
+		eb, err := Run(context.Background(), pos, m, b, 1)
 		if err != nil {
 			return false
 		}
@@ -104,7 +105,7 @@ func TestQuickPipelineSubgraphChain(t *testing.T) {
 	f := func(seed uint64, nRaw uint8) bool {
 		n := int(nRaw%60) + 5
 		pos := workload.Uniform(workload.Rand(seed), n, 1500, 1500)
-		exec, err := Run(pos, m, AlphaConnectivity)
+		exec, err := Run(context.Background(), pos, m, AlphaConnectivity, 1)
 		if err != nil {
 			return false
 		}
@@ -120,7 +121,7 @@ func TestQuickPipelineSubgraphChain(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		gr := MaxPowerGraph(pos, m)
+		gr := MaxPowerGraph(pos, m, nil, 1)
 		return all.G.IsSubgraphOf(shrunk.G) &&
 			shrunk.G.IsSubgraphOf(basic.G) &&
 			basic.G.IsSubgraphOf(gr)
@@ -135,7 +136,7 @@ func TestQuickShrinkIdempotent(t *testing.T) {
 	m := defaultModel()
 	f := func(seed uint64) bool {
 		pos := workload.Uniform(workload.Rand(seed), 40, 1500, 1500)
-		exec, err := Run(pos, m, AlphaConnectivity)
+		exec, err := Run(context.Background(), pos, m, AlphaConnectivity, 1)
 		if err != nil {
 			return false
 		}
@@ -158,7 +159,7 @@ func TestQuickTransformsDoNotMutate(t *testing.T) {
 	m := defaultModel()
 	f := func(seed uint64) bool {
 		pos := workload.Uniform(workload.Rand(seed), 30, 1500, 1500)
-		exec, err := Run(pos, m, AlphaConnectivity)
+		exec, err := Run(context.Background(), pos, m, AlphaConnectivity, 1)
 		if err != nil {
 			return false
 		}

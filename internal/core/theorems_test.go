@@ -18,7 +18,7 @@ func TestConnectivityPreservedTheorem21(t *testing.T) {
 	for _, alpha := range alphas {
 		for seed := uint64(0); seed < 20; seed++ {
 			pos := workload.Uniform(workload.Rand(seed), 70, 1500, 1500)
-			gr := MaxPowerGraph(pos, m)
+			gr := MaxPowerGraph(pos, m, nil, 1)
 			e := mustRun(t, pos, m, alpha)
 			galpha := e.Nalpha().SymmetricClosure()
 			if !graph.SamePartition(gr, galpha) {
@@ -38,7 +38,7 @@ func TestConnectivityPreservedOnStructuredLayouts(t *testing.T) {
 	}
 	for name, pos := range layouts {
 		t.Run(name, func(t *testing.T) {
-			gr := MaxPowerGraph(pos, m)
+			gr := MaxPowerGraph(pos, m, nil, 1)
 			e := mustRun(t, pos, m, AlphaConnectivity)
 			if !graph.SamePartition(gr, e.Nalpha().SymmetricClosure()) {
 				t.Errorf("G_α changed the component partition")
@@ -57,7 +57,7 @@ func TestFigure5DisconnectsTheorem24(t *testing.T) {
 		if err != nil {
 			t.Fatalf("eps=%v: %v", eps, err)
 		}
-		gr := MaxPowerGraph(pos, m)
+		gr := MaxPowerGraph(pos, m, nil, 1)
 		if !graph.IsConnected(gr) {
 			t.Fatalf("eps=%v: G_R must be connected", eps)
 		}
@@ -139,7 +139,7 @@ func TestNoAsymmetryBreakageBelowTwoThirds(t *testing.T) {
 	m := defaultModel()
 	for seed := uint64(0); seed < 15; seed++ {
 		pos := workload.Uniform(workload.Rand(seed), 60, 1500, 1500)
-		gr := MaxPowerGraph(pos, m)
+		gr := MaxPowerGraph(pos, m, nil, 1)
 		e := mustRun(t, pos, m, AlphaAsymmetric)
 		mutual := e.Nalpha().MutualSubgraph()
 		if !graph.SamePartition(gr, mutual) {

@@ -1,6 +1,7 @@
 package proto
 
 import (
+	"context"
 	"testing"
 
 	"cbtc/internal/core"
@@ -20,7 +21,7 @@ func allocTestNode(t *testing.T) *Node {
 	t.Helper()
 	m := radio.Default(400)
 	pos := workload.Uniform(workload.Rand(21), 30, 900, 900)
-	_, rt, err := RunCBTC(pos, netsim.DefaultOptions(m), Config{Alpha: core.AlphaConnectivity})
+	_, rt, err := RunCBTC(context.Background(), pos, netsim.DefaultOptions(m), Config{Alpha: core.AlphaConnectivity})
 	if err != nil {
 		t.Fatal(err)
 	}

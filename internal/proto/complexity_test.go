@@ -1,6 +1,7 @@
 package proto
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -15,7 +16,7 @@ import (
 func TestGrowingPhaseMessageComplexity(t *testing.T) {
 	m := testModel()
 	pos := workload.Uniform(workload.Rand(13), 40, 1500, 1500)
-	_, rt, err := RunCBTC(pos, reliableOpts(m), Config{Alpha: core.AlphaConnectivity})
+	_, rt, err := RunCBTC(context.Background(), pos, reliableOpts(m), Config{Alpha: core.AlphaConnectivity})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +50,7 @@ func TestRoundsReflectTermination(t *testing.T) {
 	// power level that reaches the ring and stops early.
 	ring := workload.Ring(8, 60, 1500, 1500)
 	ringAndCenter := append(ring, ring[0].Midpoint(ring[4])) // center of the ring
-	_, rt, err := RunCBTC(ringAndCenter, reliableOpts(m), Config{Alpha: core.AlphaConnectivity})
+	_, rt, err := RunCBTC(context.Background(), ringAndCenter, reliableOpts(m), Config{Alpha: core.AlphaConnectivity})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +61,7 @@ func TestRoundsReflectTermination(t *testing.T) {
 	}
 
 	lone := workload.Chain(2, 1400) // two nodes out of range: full schedule
-	_, rt2, err := RunCBTC(lone, reliableOpts(m), Config{Alpha: core.AlphaConnectivity})
+	_, rt2, err := RunCBTC(context.Background(), lone, reliableOpts(m), Config{Alpha: core.AlphaConnectivity})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,11 +78,11 @@ func TestLossyAsymNoticesStaySafe(t *testing.T) {
 	opts.DropProb = 0.3
 	opts.Seed = 77
 	pos := workload.Uniform(workload.Rand(77), 40, 1500, 1500)
-	exec, rt, err := RunCBTC(pos, opts, Config{Alpha: core.AlphaAsymmetric, AsymRemoval: true})
+	exec, rt, err := RunCBTC(context.Background(), pos, opts, Config{Alpha: core.AlphaAsymmetric, AsymRemoval: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gr := core.MaxPowerGraph(pos, m)
+	gr := core.MaxPowerGraph(pos, m, nil, 1)
 	got := rt.AsymDigraph().SymmetricClosure()
 	upper := exec.Nalpha().SymmetricClosure()
 	if !got.IsSubgraphOf(upper) {

@@ -1,6 +1,7 @@
 package proto
 
 import (
+	"context"
 	"testing"
 
 	"cbtc/internal/core"
@@ -17,7 +18,7 @@ func TestExecutionEnergyLowerAtWiderAlpha(t *testing.T) {
 		pos := workload.Uniform(workload.Rand(seed), 40, 1500, 1500)
 
 		energy := func(alpha float64) float64 {
-			_, rt, err := RunCBTC(pos, reliableOpts(m), Config{Alpha: alpha})
+			_, rt, err := RunCBTC(context.Background(), pos, reliableOpts(m), Config{Alpha: alpha})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -37,7 +38,7 @@ func TestExecutionEnergyLowerAtWiderAlpha(t *testing.T) {
 func TestEnergyAccounting(t *testing.T) {
 	m := testModel()
 	pos := workload.Uniform(workload.Rand(9), 20, 1200, 1200)
-	_, rt, err := RunCBTC(pos, reliableOpts(m), Config{Alpha: core.AlphaConnectivity})
+	_, rt, err := RunCBTC(context.Background(), pos, reliableOpts(m), Config{Alpha: core.AlphaConnectivity})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +67,7 @@ func TestEnergyInteriorVsBoundary(t *testing.T) {
 		}
 	}
 	const center, corner = 4, 0
-	exec, rt, err := RunCBTC(pos, reliableOpts(m), Config{Alpha: core.AlphaConnectivity})
+	exec, rt, err := RunCBTC(context.Background(), pos, reliableOpts(m), Config{Alpha: core.AlphaConnectivity})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package proto
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -49,8 +50,7 @@ func TestBeaconPolicyString(t *testing.T) {
 
 func TestRunCBTCRejectsNDP(t *testing.T) {
 	m := testModel()
-	_, _, err := RunCBTC(workload.Chain(3, 100), reliableOpts(m),
-		Config{Alpha: core.AlphaConnectivity, EnableNDP: true})
+	_, _, err := RunCBTC(context.Background(), workload.Chain(3, 100), reliableOpts(m), Config{Alpha: core.AlphaConnectivity, EnableNDP: true})
 	if !errors.Is(err, ErrBadConfig) {
 		t.Errorf("err = %v, want ErrBadConfig", err)
 	}
@@ -65,11 +65,11 @@ func TestProtocolBracketsOracle(t *testing.T) {
 	for seed := uint64(0); seed < 6; seed++ {
 		pos := workload.Uniform(workload.Rand(seed), 40, 1500, 1500)
 		cfg := Config{Alpha: core.AlphaConnectivity}
-		exec, _, err := RunCBTC(pos, reliableOpts(m), cfg)
+		exec, _, err := RunCBTC(context.Background(), pos, reliableOpts(m), cfg)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		oracle, err := core.Run(pos, m, core.AlphaConnectivity)
+		oracle, err := core.Run(context.Background(), pos, m, core.AlphaConnectivity, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,7 +100,7 @@ func TestProtocolBracketsOracle(t *testing.T) {
 			}
 		}
 
-		gr := core.MaxPowerGraph(pos, m)
+		gr := core.MaxPowerGraph(pos, m, nil, 1)
 		if !graph.SamePartition(gr, exec.Nalpha().SymmetricClosure()) {
 			t.Errorf("seed %d: distributed G_α changed the partition", seed)
 		}
@@ -117,11 +117,11 @@ func TestFineScheduleApproachesOracle(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := Config{Alpha: core.AlphaConnectivity, Increase: inc}
-	exec, _, err := RunCBTC(pos, reliableOpts(m), cfg)
+	exec, _, err := RunCBTC(context.Background(), pos, reliableOpts(m), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracle, err := core.Run(pos, m, core.AlphaConnectivity)
+	oracle, err := core.Run(context.Background(), pos, m, core.AlphaConnectivity, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestFineScheduleApproachesOracle(t *testing.T) {
 func TestProtocolEstimatesMatchGeometry(t *testing.T) {
 	m := testModel()
 	pos := workload.Uniform(workload.Rand(7), 25, 1200, 1200)
-	exec, _, err := RunCBTC(pos, reliableOpts(m), Config{Alpha: core.AlphaConnectivity})
+	exec, _, err := RunCBTC(context.Background(), pos, reliableOpts(m), Config{Alpha: core.AlphaConnectivity})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestAsymmetricNoticesMatchMutualSubgraph(t *testing.T) {
 	for seed := uint64(0); seed < 5; seed++ {
 		pos := workload.Uniform(workload.Rand(seed), 35, 1500, 1500)
 		cfg := Config{Alpha: core.AlphaAsymmetric, AsymRemoval: true}
-		exec, rt, err := RunCBTC(pos, reliableOpts(m), cfg)
+		exec, rt, err := RunCBTC(context.Background(), pos, reliableOpts(m), cfg)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -172,7 +172,7 @@ func TestAsymmetricNoticesMatchMutualSubgraph(t *testing.T) {
 		if !fromNotices.Equal(mutual) {
 			t.Errorf("seed %d: notice-based E⁻_α differs from mutual subgraph", seed)
 		}
-		gr := core.MaxPowerGraph(pos, m)
+		gr := core.MaxPowerGraph(pos, m, nil, 1)
 		if !graph.SamePartition(gr, mutual) {
 			t.Errorf("seed %d: distributed E⁻_α changed the partition", seed)
 		}
@@ -184,11 +184,11 @@ func TestAsymmetricNoticesMatchMutualSubgraph(t *testing.T) {
 func TestOptimizationsOnDistributedExecution(t *testing.T) {
 	m := testModel()
 	pos := workload.Uniform(workload.Rand(11), 50, 1500, 1500)
-	exec, _, err := RunCBTC(pos, reliableOpts(m), Config{Alpha: core.AlphaConnectivity})
+	exec, _, err := RunCBTC(context.Background(), pos, reliableOpts(m), Config{Alpha: core.AlphaConnectivity})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gr := core.MaxPowerGraph(pos, m)
+	gr := core.MaxPowerGraph(pos, m, nil, 1)
 	topo, err := core.BuildTopology(exec, core.Options{ShrinkBack: true, PairwiseRemoval: true})
 	if err != nil {
 		t.Fatal(err)

@@ -44,7 +44,7 @@ func survivorsGR(rt *Runtime) *graph.Graph {
 	for i := range pos {
 		pos[i] = rt.Sim.Position(i)
 	}
-	gr := core.MaxPowerGraph(pos, rt.Sim.Model())
+	gr := core.MaxPowerGraph(pos, rt.Sim.Model(), nil, 1)
 	for u := 0; u < gr.Len(); u++ {
 		if rt.Sim.Crashed(u) {
 			for _, v := range gr.Neighbors(u) {

@@ -45,15 +45,10 @@ func Start(pos []geom.Point, simOpts netsim.Options, cfg Config) (*Runtime, erro
 // RunCBTC executes the full growing phase on a static network and
 // returns the resulting Execution. The configuration must have NDP
 // disabled (otherwise beacons keep the event queue busy forever; script
-// those scenarios through Start and Sim.Run instead).
-func RunCBTC(pos []geom.Point, simOpts netsim.Options, cfg Config) (*core.Execution, *Runtime, error) {
-	return RunCBTCContext(context.Background(), pos, simOpts, cfg)
-}
-
-// RunCBTCContext is RunCBTC with cooperative cancellation: the context
-// is polled between simulator events, and an ended context aborts the
-// run with ctx.Err().
-func RunCBTCContext(ctx context.Context, pos []geom.Point, simOpts netsim.Options, cfg Config) (*core.Execution, *Runtime, error) {
+// those scenarios through Start and Sim.Run instead). The context is
+// polled between simulator events, and an ended context aborts the run
+// with ctx.Err().
+func RunCBTC(ctx context.Context, pos []geom.Point, simOpts netsim.Options, cfg Config) (*core.Execution, *Runtime, error) {
 	if cfg.EnableNDP {
 		return nil, nil, fmt.Errorf("%w: RunCBTC requires NDP disabled", ErrBadConfig)
 	}

@@ -38,68 +38,46 @@ type Result struct {
 	model radio.Model
 }
 
-// newResult builds a Result whose ground truth G_R comes from the
-// engine's propagation authority, so a shadowed run is judged against
-// the links that actually exist.
-func newResult(nodes []Point, prop radio.Propagation, topo *core.Topology, workers int) *Result {
-	return newResultWithGR(nodes, prop.Nominal(), topo, core.MaxPowerGraphParallel(nodes, prop, workers))
-}
-
-// newResultWithGR builds a Result against a caller-supplied ground-truth
-// graph. Sessions use it: their G_R must isolate departed nodes, which
-// the plain max-power graph over remembered positions would reconnect.
-func newResultWithGR(nodes []Point, m radio.Model, topo *core.Topology, gr *Graph) *Result {
+// newResult is the one Result constructor: topology g judged against
+// the ground truth gr. radii holds each node's transmission radius and
+// becomes the Result's own; nil derives it from g (the distance to each
+// node's farthest neighbor). topo is the CBTC topology g came from, if
+// any: it supplies the growing-phase powers and boundary flags, and
+// without one each node's power is what its radius costs under m. The
+// summary statistics fold the radius table in node order, the order
+// graph.AvgRadius sums in, so every construction path — fresh run,
+// session snapshot, baseline — yields bitwise identical statistics for
+// the same graph.
+func newResult(nodes []Point, m radio.Model, topo *core.Topology, g, gr *Graph, radii []float64) *Result {
 	n := len(nodes)
-	r := &Result{
-		G:        topo.G,
-		GR:       gr,
-		Pos:      append([]Point(nil), nodes...),
-		Radii:    make([]float64, n),
-		Powers:   make([]float64, n),
-		Boundary: make([]bool, n),
-		topo:     topo,
-		model:    m,
-	}
-	for u := 0; u < n; u++ {
-		r.Radii[u] = topo.Radius(u)
-		r.Powers[u] = topo.Exec.Nodes[u].GrowPower
-		r.Boundary[u] = topo.Exec.Nodes[u].Boundary
-	}
-	s := topo.Summarize()
-	r.AvgDegree = s.AvgDegree
-	r.AvgRadius = s.AvgRadius
-	return r
-}
-
-// newResultFromRadii is newResultWithGR for callers that already
-// maintain the per-node radius table of topo.G — sessions fold their
-// incremental radius cache here instead of rescanning every adjacency
-// row. radii[u] must equal graph.NodeRadius(topo.G, nodes, u) for every
-// slot; the summary statistics are then derived with the same summation
-// order as Topology.Summarize, so the Result is bitwise identical to the
-// from-scratch path, just without its O(edges) radius pass.
-func newResultFromRadii(nodes []Point, m radio.Model, topo *core.Topology, gr *Graph, radii []float64) *Result {
-	n := len(nodes)
-	r := &Result{
-		G:        topo.G,
-		GR:       gr,
-		Pos:      append([]Point(nil), nodes...),
-		Radii:    append([]float64(nil), radii...),
-		Powers:   make([]float64, n),
-		Boundary: make([]bool, n),
-		topo:     topo,
-		model:    m,
-	}
-	for u := 0; u < n; u++ {
-		r.Powers[u] = topo.Exec.Nodes[u].GrowPower
-		r.Boundary[u] = topo.Exec.Nodes[u].Boundary
-	}
-	r.AvgDegree = graph.AvgDegree(topo.G)
-	if n > 0 {
-		var sum float64
-		for _, rad := range radii {
-			sum += rad
+	if radii == nil {
+		radii = make([]float64, n)
+		for u := range radii {
+			radii[u] = graph.NodeRadius(g, nodes, u)
 		}
+	}
+	r := &Result{
+		G:         g,
+		GR:        gr,
+		Pos:       append([]Point(nil), nodes...),
+		Radii:     radii,
+		Powers:    make([]float64, n),
+		Boundary:  make([]bool, n),
+		AvgDegree: graph.AvgDegree(g),
+		topo:      topo,
+		model:     m,
+	}
+	var sum float64
+	for u, rad := range radii {
+		sum += rad
+		if topo != nil {
+			r.Powers[u] = topo.Exec.Nodes[u].GrowPower
+			r.Boundary[u] = topo.Exec.Nodes[u].Boundary
+		} else {
+			r.Powers[u] = m.PowerFor(rad)
+		}
+	}
+	if n > 0 {
 		r.AvgRadius = sum / float64(n)
 	}
 	return r

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"cbtc/internal/core"
@@ -146,7 +147,7 @@ func (e *Engine) NewSession(ctx context.Context, nodes []Point) (*Session, error
 // newSession is NewSession with an explicit worker budget; fleets pin
 // their shards' sessions to the shard plan's inner budget.
 func (e *Engine) newSession(ctx context.Context, nodes []Point, workers int) (*Session, error) {
-	exec, err := core.RunParallel(ctx, nodes, e.prop, e.alpha, workers)
+	exec, err := core.Run(ctx, nodes, e.prop, e.alpha, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -239,7 +240,7 @@ func (s *Session) buildTopology(ctx context.Context) error {
 		s.gpre = s.nalpha.SymmetricClosure()
 	}
 	// Reuse the session's own grid — it indexes exactly the live nodes.
-	s.gr = core.MaxPowerGraphParallelIndexed(s.pos, e.prop, s.idx, s.workers)
+	s.gr = core.MaxPowerGraph(s.pos, e.prop, s.idx, s.workers)
 	for u, alive := range s.alive {
 		if !alive {
 			s.gr.IsolateNode(u)
@@ -280,66 +281,31 @@ func (e *Engine) pruneNeighbors(nbrs []core.Discovery) []core.Discovery {
 
 // Join introduces a new node at p — the §4 join scenario. It returns
 // the node's ID (stable for the session's lifetime) and a report of the
-// repair the event triggered.
+// repair the event triggered. It is a one-event ApplyBatch.
 func (s *Session) Join(p Point) (int, EventReport) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	id := s.admit(p)
-
-	// The newcomer's beacon is a joinᵤ(id) event at every node that can
-	// hear it; §4 always repairs a join in place (insert, then shrink
-	// back), so no per-observer classification is needed before the
-	// recompute below rebuilds the affected region.
-	var rep EventReport
-	observers := s.withinRange(id, p)
-	rep.Repairs = len(observers)
-	s.applyStats(&rep)
-	rep.Recomputed = s.recompute(append(observers, id))
-	return id, rep
+	rep, _ := s.ApplyBatch([]Event{JoinEvent(p)}) // a join is always valid
+	return rep.JoinIDs[0], rep.EventReport
 }
 
 // Leave removes a node — the §4 leave scenario (a crash or departure;
 // in the protocol, detected by missed beacons). Neighbors whose cone
 // coverage loses its last member in some direction regrow; the rest
-// repair in place.
+// repair in place. It is a one-event ApplyBatch, so an unknown or
+// departed id is an ErrBadEvent error.
 func (s *Session) Leave(id int) (EventReport, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.checkLive(id); err != nil {
-		return EventReport{}, err
-	}
-	site := s.pos[id]
-	s.depart(id)
-
-	var rep EventReport
-	observers := s.withinRange(id, site)
-	s.observeLeave(id, observers, &rep)
-	s.applyStats(&rep)
-	rep.Recomputed = s.recompute(append(observers, id))
-	return rep, nil
+	rep, err := s.ApplyBatch([]Event{LeaveEvent(id)})
+	return rep.EventReport, err
 }
 
 // Move relocates a live node to p. Observers that still reach the node
 // see an aChangeᵤ event (bearing moved), nodes it left behind see a
 // leaveᵤ, nodes it approached see a joinᵤ; the moved node itself regrows
 // from its new position. Gaps opened by any of these trigger regrows,
-// exactly as §4 prescribes.
+// exactly as §4 prescribes. It is a one-event ApplyBatch, so an unknown
+// or departed id is an ErrBadEvent error.
 func (s *Session) Move(id int, p Point) (EventReport, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.checkLive(id); err != nil {
-		return EventReport{}, err
-	}
-	old := s.relocate(id, p)
-
-	var rep EventReport
-	// Observers around either position; the moved node itself regrows.
-	observers := s.union(s.withinRange(id, old), s.withinRange(id, p))
-	s.observeMove(id, p, observers, &rep)
-	rep.Regrows++ // the moved node reruns its growing phase
-	s.applyStats(&rep)
-	rep.Recomputed = s.recompute(append(observers, id))
-	return rep, nil
+	rep, err := s.ApplyBatch([]Event{MoveEvent(id, p)})
+	return rep.EventReport, err
 }
 
 // admit performs the structural half of a join: it allocates the next
@@ -454,14 +420,6 @@ func (s *Session) observeMove(id int, p Point, observers []int, rep *EventReport
 	}
 }
 
-// applyStats folds one event report's classification counts into the
-// session totals.
-func (s *Session) applyStats(rep *EventReport) {
-	s.stats.AngleChanges += rep.AngleChanges
-	s.stats.Regrows += rep.Regrows
-	s.stats.Repairs += rep.Repairs
-}
-
 // patchGR re-links node id in the maintained ground-truth G_R: an edge
 // to every live node within maximum-power range of its current position,
 // under exactly MaxPowerGraph's distance predicate. The spatial index
@@ -530,7 +488,7 @@ func (s *Session) snapshotLocked() *Result {
 	// (0 for departed nodes), so the snapshot folds it instead of
 	// re-deriving the radius/degree tables from scratch — the assembled
 	// Result is bitwise identical either way.
-	s.cached = newResultFromRadii(s.pos, s.eng.model, topo, s.gr.Clone(), s.radius)
+	s.cached = newResult(s.pos, s.eng.model, topo, g, s.gr.Clone(), slices.Clone(s.radius))
 	return s.cached
 }
 
@@ -1035,16 +993,6 @@ func (s *Session) patchArcs(u int, pruned []core.Discovery) {
 		}
 	}
 	s.pruned[u] = pruned
-}
-
-func (s *Session) checkLive(id int) error {
-	if id < 0 || id >= len(s.pos) {
-		return fmt.Errorf("%w: node %d does not exist", ErrBadEvent, id)
-	}
-	if !s.alive[id] {
-		return fmt.Errorf("%w: node %d already departed", ErrBadEvent, id)
-	}
-	return nil
 }
 
 // newMarkEpoch starts a fresh membership set over the session's current

@@ -124,7 +124,7 @@ func (s *Session) applyBatchLocked(events []Event) (BatchReport, error) {
 	}
 
 	// Apply the structural changes in event order, classifying each
-	// event's observers as the single-event paths do, and record every
+	// event's observers against the §4 state machines, and record every
 	// site whose R-neighborhood the batch disturbed: join positions,
 	// leave positions, and both endpoints of each move.
 	ids := make([]int, 0, len(events))
@@ -134,6 +134,8 @@ func (s *Session) applyBatchLocked(events []Event) (BatchReport, error) {
 		case EventJoin:
 			id := s.admit(ev.Pos)
 			rep.JoinIDs = append(rep.JoinIDs, id)
+			// Every node that hears the newcomer's beacon sees a joinᵤ,
+			// which §4 always repairs in place: no classification needed.
 			rep.Repairs += len(s.withinRange(id, ev.Pos))
 			ids = append(ids, id)
 			sites = append(sites, ev.Pos)
@@ -152,7 +154,9 @@ func (s *Session) applyBatchLocked(events []Event) (BatchReport, error) {
 			sites = append(sites, old, ev.Pos)
 		}
 	}
-	s.applyStats(&rep.EventReport)
+	s.stats.AngleChanges += rep.AngleChanges
+	s.stats.Regrows += rep.Regrows
+	s.stats.Repairs += rep.Repairs
 
 	// One recompute over the union of affected regions. Non-event nodes
 	// never move, so "within R of a disturbed site" is time-invariant

@@ -40,13 +40,13 @@ func fullRebuildLocked(s *Session) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	gr := core.MaxPowerGraphParallel(s.pos, s.eng.prop, s.workers)
+	gr := core.MaxPowerGraph(s.pos, s.eng.prop, nil, s.workers)
 	for u, alive := range s.alive {
 		if !alive {
 			gr.IsolateNode(u)
 		}
 	}
-	return newResultWithGR(s.pos, s.eng.model, topo, gr), nil
+	return newResult(s.pos, s.eng.model, topo, topo.G, gr, nil), nil
 }
 
 // requireSessionMatchesFreshRun asserts the §4 convergence property:

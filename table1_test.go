@@ -1,6 +1,7 @@
 package cbtc
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -13,7 +14,7 @@ var table1Fixture *Table1Result
 func table1(t *testing.T) *Table1Result {
 	t.Helper()
 	if table1Fixture == nil {
-		res, err := RunTable1(Table1Params{Networks: 30})
+		res, err := RunTable1(context.Background(), Table1Params{Networks: 30})
 		if err != nil {
 			t.Fatalf("RunTable1: %v", err)
 		}
