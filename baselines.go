@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"cbtc/internal/baseline"
+	"cbtc/internal/core"
 	"cbtc/internal/graph"
 )
 
@@ -175,7 +176,7 @@ func CompareBaselines(ctx context.Context, nodes []Point, m RadioModel) ([]Compa
 
 	rows := make([]ComparisonRow, len(specs))
 	plan := planShards(0, len(specs))
-	err = plan.run(ctx, len(specs), func(ctx context.Context, i int) error {
+	err = core.ParallelRange(ctx, len(specs), plan.shards, func(_, i int) error {
 		sp := specs[i]
 		// Spec engines run inside the shard pool: give each the plan's
 		// inner budget, not a full GOMAXPROCS pool of its own.

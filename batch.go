@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+
+	"cbtc/internal/core"
 )
 
 // RunBatch executes CBTC(α) on every placement, fanning the independent
@@ -16,14 +18,15 @@ import (
 // to each run's per-node parallelism instead of idling them; Run is
 // worker-count invariant, so the split never changes the results.
 //
-// The first failure cancels the remaining work and is returned; if ctx
-// ends first, RunBatch aborts mid-batch and returns ctx.Err(). Shards
-// pull placements from a shared counter, so heterogeneous network sizes
+// The first failure stops the batch and is returned: no further
+// placements start, and placements already running finish. If ctx ends
+// first, RunBatch aborts mid-batch and returns ctx.Err(). Shards pull
+// placements from a shared counter, so heterogeneous network sizes
 // balance automatically.
 func (e *Engine) RunBatch(ctx context.Context, placements [][]Point) ([]*Result, error) {
 	results := make([]*Result, len(placements))
 	plan := planShards(e.workers, len(placements))
-	err := plan.run(ctx, len(placements), func(ctx context.Context, i int) error {
+	err := core.ParallelRange(ctx, len(placements), plan.shards, func(_, i int) error {
 		res, err := e.run(ctx, placements[i], plan.inner)
 		if err != nil {
 			// Report a cancellation as the bare context error, not as a

@@ -557,7 +557,18 @@ func benchMobilityTick(b *testing.B, sc workload.LargeNScenario, pos []Point, fn
 		id int
 		d2 float64
 	}
-	cands := make([]cand, 0, len(pos))
+	byDist := func(a, c cand) int {
+		if a.d2 != c.d2 {
+			if a.d2 < c.d2 {
+				return -1
+			}
+			return 1
+		}
+		return a.id - c.id
+	}
+	// nearest holds the tickSize smallest candidates so far in (d², id)
+	// order: a bounded selection, O(n) per tick instead of a full sort.
+	nearest := make([]cand, 0, tickSize+1)
 	events := make([]Event, 0, tickSize)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -573,28 +584,24 @@ func benchMobilityTick(b *testing.B, sc workload.LargeNScenario, pos []Point, fn
 				break
 			}
 		}
-		cands = cands[:0]
+		nearest = nearest[:0]
 		for id := 0; id < sess.Len(); id++ {
-			if sess.Alive(id) {
-				cands = append(cands, cand{id, sess.Position(id).Dist2(center)})
+			if !sess.Alive(id) {
+				continue
 			}
-		}
-		slices.SortFunc(cands, func(a, c cand) int {
-			if a.d2 != c.d2 {
-				if a.d2 < c.d2 {
-					return -1
-				}
-				return 1
+			c := cand{id, sess.Position(id).Dist2(center)}
+			if len(nearest) == tickSize && byDist(c, nearest[tickSize-1]) > 0 {
+				continue
 			}
-			return a.id - c.id
-		})
-		n := tickSize
-		if n > len(cands) {
-			n = len(cands)
+			at, _ := slices.BinarySearchFunc(nearest, c, byDist)
+			nearest = slices.Insert(nearest, at, c)
+			if len(nearest) > tickSize {
+				nearest = nearest[:tickSize]
+			}
 		}
 		events = events[:0]
 		jitter := sc.Radius / 8
-		for _, c := range cands[:n] {
+		for _, c := range nearest {
 			p := sess.Position(c.id)
 			events = append(events, MoveEvent(c.id, geom.Pt(
 				p.X+rng.Float64()*2*jitter-jitter,
@@ -806,7 +813,7 @@ func itoa(v int) string {
 // /checkpoint serializes a live session (lock-light COW export plus the
 // bulk arena encode) into a reusable buffer, /restore decodes and
 // revalidates it back into a live session (including the spatial-index
-// and reconfigurator rebuild). Fleet checkpoints are m independent
+// and Observe-state rebuild). Fleet checkpoints are m independent
 // session bodies behind one header, so the session-level numbers are
 // the per-network cost. BENCH_PR10.json gates both absolutes and their
 // allocation ceilings.

@@ -93,8 +93,10 @@ func (s *Session) Checkpoint(w io.Writer) error {
 // repair installs freshly-built rows); the maintained graphs are
 // copy-on-write clones, with the codec's G section holding the graph
 // before pairwise removal. Everything else a live session holds (the
-// final graph under pairwise removal, the reconfigurators, the spatial
-// index, the snapshot cache) is derived state that restore rebuilds.
+// final graph under pairwise removal, the spatial index, the Observe
+// state) is derived state that restore rebuilds; the snapshot cache
+// starts empty, and §4 state machines are built per batch from the node
+// rows (Session.machine).
 func (s *Session) exportLocked() *codec.SessionState {
 	st := &codec.SessionState{
 		Config: s.eng.fingerprint(),
@@ -139,11 +141,10 @@ func (e *Engine) RestoreSession(r io.Reader) (*Session, error) {
 
 // sessionFromState rebuilds a live session around decoded state. The
 // serialized vectors are adopted directly (the decoder built them fresh);
-// the derived state — per-node reconfigurators, the spatial index, the
-// final graph and its Observe state — is reconstructed, which is exact:
-// a reconfigurator's state is a pure function of its node's installed
-// neighbor row, the grid of the positions and liveness vector, and the
-// final graph of the graph before pairwise removal.
+// the derived state — the spatial index, the final graph and its
+// Observe state — is reconstructed, which is exact: the grid is a pure
+// function of the positions and liveness vector, and the final graph of
+// the graph before pairwise removal.
 func (e *Engine) sessionFromState(st *codec.SessionState, workers int) (*Session, error) {
 	if err := e.checkFingerprint(st.Config); err != nil {
 		return nil, err
@@ -161,7 +162,6 @@ func (e *Engine) sessionFromState(st *codec.SessionState, workers int) (*Session
 		pos:     st.Pos,
 		alive:   st.Alive,
 		nodes:   st.Nodes,
-		recs:    make([]*core.Reconfigurator, n),
 		idx:     spatial.New(st.Pos, e.prop.MaxLinkRadius()),
 		stats: SessionStats{
 			Joins:        int(st.Stats.Joins),
@@ -178,7 +178,6 @@ func (e *Engine) sessionFromState(st *codec.SessionState, workers int) (*Session
 			continue
 		}
 		s.live++
-		s.recs[id] = core.NewReconfigurator(e.alpha, e.model, st.Nodes[id].Neighbors)
 	}
 	// The battery vector is adopted directly; the residual moments Observe
 	// reports are folded fresh from it each read, so nothing else needs

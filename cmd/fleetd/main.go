@@ -81,7 +81,7 @@
 //	POST /events      ingest newline-framed events (202 = durable;
 //	                  429 + Retry-After when the queue is full;
 //	                  400 when the stream is malformed or a line
-//	                  exceeds 1 MiB)
+//	                  exceeds 1 MiB; 413 when the body exceeds 8 MiB)
 //	GET  /healthz     liveness, counters, watermarks, checkpoint age;
 //	                  503 when degraded
 //	GET  /report      the aggregated FleetReport as JSON
@@ -130,6 +130,14 @@ import (
 // headers, so a stalled or slow-loris connection cannot pin a server
 // goroutine indefinitely.
 const readHeaderTimeout = 10 * time.Second
+
+// readTimeout bounds how long a client may take to send a whole request,
+// body included, so a slow-drip upload cannot pin a goroutine either.
+const readTimeout = 30 * time.Second
+
+// maxEventsBody caps one POST /events body. The events of a longer
+// upload are read up to the cap and the request answers 413.
+const maxEventsBody = 8 << 20
 
 func main() {
 	var (
@@ -181,7 +189,7 @@ func main() {
 
 	var srv *http.Server
 	if *httpAddr != "" {
-		srv = &http.Server{Addr: *httpAddr, Handler: d.routes(), ReadHeaderTimeout: readHeaderTimeout}
+		srv = &http.Server{Addr: *httpAddr, Handler: d.routes(), ReadHeaderTimeout: readHeaderTimeout, ReadTimeout: readTimeout}
 		go func() {
 			if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 				d.fail(err)
@@ -650,7 +658,7 @@ func (d *daemon) writeCheckpoint() error {
 // ingestResult summarizes one readEvents call.
 type ingestResult struct {
 	accepted, malformed, dropped int
-	scanErr                      error // stream died mid-read: oversized line or I/O failure
+	scanErr                      error // stream died mid-read: oversized line or body, or I/O failure
 }
 
 // readEvents decodes newline-framed JSON events from r and enqueues
@@ -718,7 +726,7 @@ func (d *daemon) awaitDurable(ctx context.Context) error {
 func (d *daemon) routes() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /events", func(w http.ResponseWriter, r *http.Request) {
-		res := d.readEvents(r.Body, false)
+		res := d.readEvents(http.MaxBytesReader(w, r.Body, maxEventsBody), false)
 		if res.accepted > 0 {
 			// Hold the response until the accepted events are fsynced to
 			// the log and applied: the reported counts are durable facts.
@@ -731,7 +739,11 @@ func (d *daemon) routes() http.Handler {
 			"accepted": res.accepted, "malformed": res.malformed, "dropped": res.dropped,
 		}
 		status := http.StatusAccepted
+		var tooLarge *http.MaxBytesError
 		switch {
+		case errors.As(res.scanErr, &tooLarge):
+			status = http.StatusRequestEntityTooLarge
+			body["error"] = res.scanErr.Error()
 		case res.scanErr != nil:
 			status = http.StatusBadRequest
 			body["error"] = res.scanErr.Error()

@@ -259,6 +259,46 @@ func TestEventsDurableAckAndRetryAfter(t *testing.T) {
 	}
 }
 
+// A POST /events body over maxEventsBody answers 413 with the usual
+// counts, and the cut-off stream is counted as an ingestion error.
+func TestEventsBodyCap(t *testing.T) {
+	d := testDaemon(t, 1, 10, 16, t.TempDir())
+	srv := httptest.NewServer(d.routes())
+	defer srv.Close()
+
+	healthz := func() map[string]any {
+		resp, err := http.Get(srv.URL + "/healthz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var h map[string]any
+		if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
+			t.Fatal(err)
+		}
+		return h
+	}
+	before := healthz()["ingest_errors"].(float64)
+
+	resp, err := http.Post(srv.URL+"/events", "application/json",
+		strings.NewReader(strings.Repeat("\n", maxEventsBody+1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var body map[string]any
+	json.NewDecoder(resp.Body).Decode(&body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body: status %d body %v, want 413", resp.StatusCode, body)
+	}
+	if body["accepted"] != float64(0) || body["malformed"] != float64(0) || body["dropped"] != float64(0) {
+		t.Errorf("oversized body counts: %v, want accepted/malformed/dropped 0", body)
+	}
+	if after := healthz()["ingest_errors"].(float64); after != before+1 {
+		t.Errorf("ingest_errors %v -> %v, want +1", before, after)
+	}
+}
+
 // Injected checkpoint-write failures surface in /healthz as degraded
 // status with a failure count, and clear on the next success.
 func TestCheckpointFaultDegradesHealth(t *testing.T) {

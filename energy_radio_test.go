@@ -5,10 +5,10 @@ import (
 	"context"
 	"errors"
 	"math"
+	"os"
 	"reflect"
 	"testing"
 
-	"cbtc/internal/codec"
 	"cbtc/internal/core"
 	"cbtc/internal/graph"
 	"cbtc/internal/radio"
@@ -262,6 +262,19 @@ func TestShadowedGroundTruth(t *testing.T) {
 	}
 }
 
+// The version-2 fixtures under testdata/ were written at commit 178689b
+// by its downgrade encoders (codec.EncodeSessionVersion and
+// codec.EncodeFleetVersion at version 2; encoders now write only the
+// current version) from the inputs the two tests below rebuild:
+//
+//   - v2-session.ckpt: WithMaxRadius(500) + WithShrinkBack() over
+//     someNetwork(19, 40), then six 4-event randomBatch batches drawn
+//     from workload.Rand(3) on a 1500 side.
+//   - v2-fleet.ckpt: workload.Fleet(3, 30, "uniform") placements at
+//     seed 13 as oracle members of a WithMaxRadius(sc.Radius) +
+//     WithShrinkBack() engine, Seed 13, after fleet.Run(ctx, 3,
+//     DriftTick(...)) with the scenario's profile.
+
 // TestV2CheckpointRestores is the backward-compatibility gate of the
 // codec version bump: a version-2 stream (pure power-law radio, no
 // battery) still restores — the decoder implies RefLoss 1 — and the
@@ -282,14 +295,11 @@ func TestV2CheckpointRestores(t *testing.T) {
 		}
 	}
 
-	sess.mu.Lock()
-	st := sess.exportLocked()
-	sess.mu.Unlock()
-	var buf bytes.Buffer
-	if err := codec.EncodeSessionVersion(&buf, st, 2); err != nil {
-		t.Fatalf("v2 encode of power-law state: %v", err)
+	fixture, err := os.ReadFile("testdata/v2-session.ckpt")
+	if err != nil {
+		t.Fatal(err)
 	}
-	restored, err := eng.RestoreSession(bytes.NewReader(buf.Bytes()))
+	restored, err := eng.RestoreSession(bytes.NewReader(fixture))
 	if err != nil {
 		t.Fatalf("v2 restore: %v", err)
 	}
@@ -307,10 +317,69 @@ func TestV2CheckpointRestores(t *testing.T) {
 	}
 }
 
-// TestV2CannotCarryEnergyState: downgrade encoding refuses states the
-// version-2 format cannot represent — shadowed radios, non-unit
-// reference losses and battery vectors — with the codec's typed
-// version error.
+// TestV2FleetCheckpointRestores is the fleet half of the compatibility
+// gate: a version-2 fleet stream — which carries no residual or
+// energy-variance streams — restores to the report of the fleet it was
+// written from and continues byte-identically.
+func TestV2FleetCheckpointRestores(t *testing.T) {
+	ctx := context.Background()
+	sc := workload.Fleet(3, 30, "uniform")
+	tick := DriftTick(TickProfile{
+		Moves: sc.Moves, Jitter: sc.Jitter,
+		JoinProb: sc.JoinProb, LeaveProb: sc.LeaveProb,
+		Width: sc.Side, Height: sc.Side,
+	})
+	eng, err := New(WithMaxRadius(sc.Radius), WithShrinkBack())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fleet, err := eng.NewFleet(ctx, FleetConfig{Members: oracleMembers(sc.Placements(13)), Seed: 13})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fleet.Run(ctx, 3, tick); err != nil {
+		t.Fatal(err)
+	}
+	fixture, err := os.ReadFile("testdata/v2-fleet.ckpt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored, err := eng.RestoreFleet(bytes.NewReader(fixture))
+	if err != nil {
+		t.Fatalf("v2 fleet restore: %v", err)
+	}
+	want, err := fleet.Report()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := restored.Report()
+	if err != nil {
+		t.Fatal(err)
+	}
+	zeroSched(want)
+	zeroSched(got)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("v2-restored fleet report differs:\n got %+v\nwant %+v", got, want)
+	}
+	want, err = fleet.Run(ctx, 3, tick)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err = restored.Run(ctx, 3, tick)
+	if err != nil {
+		t.Fatal(err)
+	}
+	zeroSched(want)
+	zeroSched(got)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("v2-restored fleet diverges from the original")
+	}
+}
+
+// TestV2CannotCarryEnergyState: states the version-2 format cannot
+// represent — shadowed radios, non-unit reference losses and battery
+// vectors — round-trip through the current version, and only the
+// producing engine fingerprint restores them.
 func TestV2CannotCarryEnergyState(t *testing.T) {
 	ctx := context.Background()
 	cases := []struct {
@@ -331,13 +400,6 @@ func TestV2CannotCarryEnergyState(t *testing.T) {
 			sess, err := eng.NewSession(ctx, someNetwork(4, 20))
 			if err != nil {
 				t.Fatal(err)
-			}
-			sess.mu.Lock()
-			st := sess.exportLocked()
-			sess.mu.Unlock()
-			var buf bytes.Buffer
-			if err := codec.EncodeSessionVersion(&buf, st, 2); !errors.Is(err, codec.ErrVersion) {
-				t.Fatalf("v2 encode: got %v, want ErrVersion", err)
 			}
 			// The current version carries it fine, and only the producing
 			// engine fingerprint restores it.

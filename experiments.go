@@ -161,7 +161,7 @@ func RunTable1(ctx context.Context, params Table1Params) (*Table1Result, error) 
 	// build; pin a copy of the engine to the plan's inner budget so the
 	// shard pool isn't multiplied by GOMAXPROCS radius queries.
 	mpEngine := anyEngine.withWorkers(plan.inner)
-	err := plan.run(ctx, p.Networks, func(ctx context.Context, net int) error {
+	err := core.ParallelRange(ctx, p.Networks, plan.shards, func(_, net int) error {
 		for ci, col := range cols {
 			switch {
 			case col.MaxPower:
@@ -255,7 +255,7 @@ func Figure6Panels(ctx context.Context, seed uint64) ([]Panel, error) {
 	}
 	panels := make([]Panel, len(specs))
 	plan := planShards(0, len(specs))
-	err := plan.run(ctx, len(specs), func(ctx context.Context, i int) error {
+	err := core.ParallelRange(ctx, len(specs), plan.shards, func(_, i int) error {
 		sp := specs[i]
 		// Panel engines run inside the shard pool: give each the plan's
 		// inner budget, not a full GOMAXPROCS pool of its own.

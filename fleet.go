@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"cbtc/internal/core"
 	"cbtc/internal/stats"
 	"cbtc/internal/workload"
 )
@@ -549,7 +550,7 @@ func (e *Engine) NewFleet(ctx context.Context, cfg FleetConfig) (*Fleet, error) 
 	}
 	f := &Fleet{eng: e, workers: workers, nets: make([]*fleetNetwork, m), hook: cfg.TickHook, obsHook: cfg.ObserveHook}
 	plan := planShards(workers, m)
-	err = plan.run(ctx, m, func(ctx context.Context, i int) error {
+	err = core.ParallelRange(ctx, m, plan.shards, func(_, i int) error {
 		spec := specs[i]
 		var sess *Session
 		var err error
@@ -1095,7 +1096,7 @@ func (f *Fleet) reportLocked(ctx context.Context) (*FleetReport, error) {
 		PerNetwork: make([]FleetNetworkReport, len(f.nets)),
 	}
 	plan := planShards(f.workers, len(f.nets))
-	err := plan.run(ctx, len(f.nets), func(_ context.Context, i int) error {
+	err := core.ParallelRange(ctx, len(f.nets), plan.shards, func(_, i int) error {
 		nr, err := f.networkReportLocked(i)
 		if err != nil {
 			return err

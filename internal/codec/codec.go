@@ -8,7 +8,7 @@
 // A checkpoint is a little-endian byte stream:
 //
 //	magic   "CBTC"            (4 bytes)
-//	version uint16            (currently 2)
+//	version uint16            (currently 3)
 //	kind    uint8             (1 = session, 2 = fleet)
 //	payload                   (kind-dependent, length-prefixed sections)
 //	footer  uint32 0xC0DEC0DE (truncation sentinel)
@@ -40,8 +40,9 @@ import (
 	"cbtc/internal/stats"
 )
 
-// Version is the current checkpoint format version. Decoders accept
-// this version and the previous one: version 3 extended the fingerprint
+// Version is the current checkpoint format version, the only one the
+// encoders write. Decoders accept this version and the previous one
+// (the root package's testdata holds version-2 fixtures): version 3 extended the fingerprint
 // with the radio-model identity (reference loss, propagation kind,
 // shadowing parameters) and the battery configuration, added per-node
 // residual-battery vectors to session bodies, and added the

@@ -72,6 +72,12 @@ func DecodeFleet(r io.Reader) (*FleetState, error) {
 		if d.ver >= 3 {
 			d.stream(&n.Residual)
 			d.stream(&n.EnergyVar)
+		} else {
+			// A version-2 member has no battery, so each of its ticks
+			// observed a zero residual and energy variance alongside
+			// its degree.
+			n.Residual = stats.Stream{Count: n.Degree.Count}
+			n.EnergyVar = n.Residual
 		}
 		n.Session.Config = n.Config
 		d.sessionBody(&n.Session)

@@ -83,8 +83,9 @@ func run(ctx context.Context, pos []geom.Point, m radio.Propagation, alpha float
 	}
 	workers = ResolveWorkers(workers, len(pos))
 	runners := make([]NodeRunner, workers)
-	err := ParallelRange(ctx, len(pos), workers, func(w, u int) {
+	err := ParallelRange(ctx, len(pos), workers, func(w, u int) error {
 		exec.Nodes[u] = runners[w].RunNode(pos, nil, m, alpha, u, idx)
+		return nil
 	})
 	if err != nil {
 		return nil, err
@@ -386,7 +387,7 @@ func MaxPowerGraph(pos []geom.Point, m radio.Propagation, idx Index, workers int
 	scratch := make([][]int, workers)
 	// ctx is inert here: the gather is pure computation with no caller to
 	// cancel it (Engine.MaxPower has no context parameter).
-	_ = ParallelRange(context.Background(), len(pos), workers, func(w, u int) {
+	_ = ParallelRange(context.Background(), len(pos), workers, func(w, u int) error {
 		// The index returns ascending ids, so the v > u filter keeps the
 		// half row sorted by construction.
 		scratch[w] = AppendMaxPowerNeighbors(scratch[w][:0], pos, m, u, idx)
@@ -397,6 +398,7 @@ func MaxPowerGraph(pos []geom.Point, m radio.Propagation, idx Index, workers int
 			}
 		}
 		rows[u] = row
+		return nil
 	})
 	return graph.NewFromHalfRows(rows)
 }

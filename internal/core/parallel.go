@@ -45,19 +45,23 @@ func ResolveWorkers(workers, n int) int {
 }
 
 // ParallelRange invokes fn(w, i) exactly once for every i in [0, n),
-// fanned across `workers` goroutines (pass the value from ResolveWorkers;
-// 1 runs inline). The worker index w ∈ [0, workers) lets callers give
-// each goroutine its own scratch state. Indices are handed out in chunks
-// through a shared atomic counter, so uneven per-index costs balance
-// automatically; fn must be safe to call concurrently for distinct i.
+// fanned across `workers` goroutines (1 runs inline; ResolveWorkers
+// sizes a pool for cheap per-node work). The worker index
+// w ∈ [0, workers) lets callers give each goroutine its own scratch
+// state. Indices are handed out in chunks through a shared atomic
+// counter, so uneven per-index costs balance automatically; fn must be
+// safe to call concurrently for distinct i, and results must go to
+// per-i slots so the output is independent of scheduling.
 //
-// Cancellation: every worker polls ctx on its own ctxCheckStride of
-// processed indices — cancellation latency stays at one stride of
-// per-node work regardless of worker count, instead of growing as a
-// shared stride would. On cancellation the pool stops early and
-// ParallelRange returns ctx.Err(); some fn calls will simply never
-// happen, so callers must discard partial output on error.
-func ParallelRange(ctx context.Context, n, workers int, fn func(w, i int)) error {
+// Errors: the first non-nil fn result stops the pool handing out
+// indices and is returned; calls already running finish. Cancellation:
+// every worker polls ctx on its own ctxCheckStride of processed indices —
+// cancellation latency stays at one stride of per-index work regardless
+// of worker count, instead of growing as a shared stride would. On
+// cancellation the pool stops early and ParallelRange returns ctx.Err().
+// Either way some fn calls never happen, so callers must discard
+// partial output on error.
+func ParallelRange(ctx context.Context, n, workers int, fn func(w, i int) error) error {
 	if n <= 0 {
 		return ctx.Err()
 	}
@@ -68,7 +72,9 @@ func ParallelRange(ctx context.Context, n, workers int, fn func(w, i int)) error
 					return err
 				}
 			}
-			fn(0, i)
+			if err := fn(0, i); err != nil {
+				return err
+			}
 		}
 		return nil
 	}
@@ -84,9 +90,11 @@ func ParallelRange(ctx context.Context, n, workers int, fn func(w, i int)) error
 		}
 	}
 	var (
-		next atomic.Int64
-		stop atomic.Bool
-		wg   sync.WaitGroup
+		next     atomic.Int64
+		stop     atomic.Bool
+		wg       sync.WaitGroup
+		errOnce  sync.Once
+		firstErr error
 	)
 	poll := ctx.Done() != nil
 	wg.Add(workers)
@@ -114,12 +122,19 @@ func ParallelRange(ctx context.Context, n, workers int, fn func(w, i int)) error
 						}
 						processed++
 					}
-					fn(w, i)
+					if err := fn(w, i); err != nil {
+						errOnce.Do(func() { firstErr = err })
+						stop.Store(true)
+						return
+					}
 				}
 			}
 		}(w)
 	}
 	wg.Wait()
+	if firstErr != nil {
+		return firstErr
+	}
 	if stop.Load() {
 		return ctx.Err()
 	}

@@ -3,7 +3,9 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -138,8 +140,9 @@ func TestParallelRangeCoverage(t *testing.T) {
 	for _, n := range []int{1, 17, 63, 64, 65, 640} {
 		for _, workers := range []int{1, 2, 7, 16} {
 			counts := make([]int32, n)
-			err := ParallelRange(context.Background(), n, workers, func(_, i int) {
+			err := ParallelRange(context.Background(), n, workers, func(_, i int) error {
 				counts[i]++
+				return nil
 			})
 			if err != nil {
 				t.Fatalf("n=%d workers=%d: %v", n, workers, err)
@@ -150,5 +153,34 @@ func TestParallelRangeCoverage(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// The first error fn returns stops the pool handing out indices and is
+// what ParallelRange returns, at every pool size; cancellation still
+// wins with ctx.Err() when no fn failed.
+func TestParallelRangeFirstError(t *testing.T) {
+	const n = 20000
+	bad := errors.New("unit failed")
+	for _, workers := range []int{1, 2, 7} {
+		var calls atomic.Int64
+		err := ParallelRange(context.Background(), n, workers, func(_, i int) error {
+			calls.Add(1)
+			if i%1000 == 999 {
+				return fmt.Errorf("index %d: %w", i, bad)
+			}
+			return nil
+		})
+		if !errors.Is(err, bad) {
+			t.Fatalf("workers=%d: got %v, want the unit error", workers, err)
+		}
+		if c := calls.Load(); c == n {
+			t.Errorf("workers=%d: every index ran after a failure", workers)
+		}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := ParallelRange(ctx, n, 4, func(_, i int) error { return nil }); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled pool: got %v, want context.Canceled", err)
 	}
 }

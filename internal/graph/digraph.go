@@ -1,29 +1,19 @@
 package graph
 
-import (
-	"fmt"
-	"slices"
-)
+import "fmt"
 
 // Digraph is a directed simple graph over nodes 0..N-1. It represents
 // the asymmetric neighbor relation N_α = {(u,v) : v ∈ N_α(u)} computed
-// by CBTC before any symmetrization. Like Graph it stores packed sorted
-// successor rows with copy-on-write clones; see the package comment.
+// by CBTC before any symmetrization: the same row store as Graph, read
+// as successor rows, plus its arc count; see the package comment.
 type Digraph struct {
-	n      int
-	arcs   int       // cached arc count
-	out    [][]int32 // per-node sorted successor rows
-	shared []bool    // see Graph.shared
+	rows
+	arcs int // cached arc count
 }
 
 // NewDigraph returns an empty directed graph with n nodes.
 func NewDigraph(n int) *Digraph {
-	checkNodeCount(n)
-	return &Digraph{
-		n:      n,
-		out:    make([][]int32, n),
-		shared: make([]bool, n),
-	}
+	return &Digraph{rows: newRows(n)}
 }
 
 // NewDigraphFromRows builds a digraph from per-node successor rows
@@ -41,93 +31,39 @@ func NewDigraphFromRows(rows [][]int32) *Digraph {
 		}
 		total += len(row)
 	}
-	arena := make([]int32, 0, total)
-	d := &Digraph{
-		n:      n,
-		arcs:   total,
-		out:    make([][]int32, n),
-		shared: make([]bool, n),
-	}
-	for u, row := range rows {
-		start := len(arena)
-		arena = append(arena, row...)
-		d.out[u] = arena[start:len(arena):len(arena)]
-	}
-	return d
-}
-
-// Len returns the number of nodes.
-func (d *Digraph) Len() int { return d.n }
-
-// owned returns node u's row ready for in-place mutation, copying it
-// first if a clone may still reference the storage.
-func (d *Digraph) owned(u int) []int32 {
-	if d.shared[u] {
-		d.out[u] = slices.Clone(d.out[u])
-		d.shared[u] = false
-	}
-	return d.out[u]
+	return &Digraph{rows: packRows(rows, total), arcs: total}
 }
 
 // AddArc inserts the directed edge u→v. Self-loops are ignored.
 func (d *Digraph) AddArc(u, v int) {
 	d.check(u)
 	d.check(v)
-	if u == v {
-		return
+	if u != v && d.insert(u, int32(v)) {
+		d.arcs++
 	}
-	i, found := slices.BinarySearch(d.out[u], int32(v))
-	if found {
-		return
-	}
-	d.out[u] = slices.Insert(d.owned(u), i, int32(v))
-	d.arcs++
 }
 
 // RemoveArc deletes the directed edge u→v if present.
 func (d *Digraph) RemoveArc(u, v int) {
 	d.check(u)
 	d.check(v)
-	i, found := slices.BinarySearch(d.out[u], int32(v))
-	if !found {
-		return
+	if d.remove(u, int32(v)) {
+		d.arcs--
 	}
-	d.out[u] = slices.Delete(d.owned(u), i, i+1)
-	d.arcs--
 }
 
 // HasArc reports whether the directed edge u→v is present.
 func (d *Digraph) HasArc(u, v int) bool {
 	d.check(u)
 	d.check(v)
-	_, found := slices.BinarySearch(d.out[u], int32(v))
-	return found
+	return d.has(u, int32(v))
 }
 
 // OutDegree returns the number of outgoing edges of u.
-func (d *Digraph) OutDegree(u int) int {
-	d.check(u)
-	return len(d.out[u])
-}
-
-// Row returns node u's successor row: ascending node ids, backed by the
-// digraph's internal storage. The caller must not mutate it, and the
-// row is only valid until the digraph's next mutation.
-func (d *Digraph) Row(u int) []int32 {
-	d.check(u)
-	return d.out[u]
-}
+func (d *Digraph) OutDegree(u int) int { return len(d.Row(u)) }
 
 // Successors returns the sorted list of v with u→v as a fresh slice.
-func (d *Digraph) Successors(u int) []int {
-	d.check(u)
-	row := d.out[u]
-	out := make([]int, len(row))
-	for i, v := range row {
-		out[i] = int(v)
-	}
-	return out
-}
+func (d *Digraph) Successors(u int) []int { return d.ints(u) }
 
 // ArcCount returns the number of directed edges.
 func (d *Digraph) ArcCount() int { return d.arcs }
@@ -138,7 +74,7 @@ func (d *Digraph) ArcCount() int { return d.arcs }
 func (d *Digraph) SymmetricClosure() *Graph {
 	g := New(d.n)
 	for u := 0; u < d.n; u++ {
-		for _, v := range d.out[u] {
+		for _, v := range d.adj[u] {
 			g.AddEdge(u, int(v))
 		}
 	}
@@ -151,7 +87,7 @@ func (d *Digraph) SymmetricClosure() *Graph {
 func (d *Digraph) MutualSubgraph() *Graph {
 	g := New(d.n)
 	for u := 0; u < d.n; u++ {
-		for _, v := range d.out[u] {
+		for _, v := range d.adj[u] {
 			if u < int(v) && d.HasArc(int(v), u) {
 				g.AddEdge(u, int(v))
 			}
@@ -167,7 +103,7 @@ func (d *Digraph) MutualSubgraph() *Graph {
 func (d *Digraph) AsymmetricArcs() []Edge {
 	var arcs []Edge
 	for u := 0; u < d.n; u++ {
-		for _, v := range d.out[u] {
+		for _, v := range d.adj[u] {
 			if !d.HasArc(int(v), u) {
 				arcs = append(arcs, Edge{U: u, V: int(v)}) // directed: U→V
 			}
@@ -176,69 +112,20 @@ func (d *Digraph) AsymmetricArcs() []Edge {
 	return arcs
 }
 
-// Grow appends k nodes with no arcs, extending the id space to Len()+k.
-func (d *Digraph) Grow(k int) {
-	if k < 0 {
-		panic(fmt.Sprintf("graph: negative growth %d", k))
-	}
-	checkNodeCount(d.n + k)
-	d.out = append(d.out, make([][]int32, k)...)
-	d.shared = append(d.shared, make([]bool, k)...)
-	d.n += k
-}
-
 // Clone returns a copy-on-write clone sharing every successor row until
 // one side mutates it; see Graph.Clone for the sharing contract (Clone
 // counts as a mutation of the original for concurrency purposes).
 func (d *Digraph) Clone() *Digraph {
-	for i := range d.shared {
-		d.shared[i] = true
-	}
-	c := &Digraph{
-		n:      d.n,
-		arcs:   d.arcs,
-		out:    slices.Clone(d.out),
-		shared: make([]bool, d.n),
-	}
-	for i := range c.shared {
-		c.shared[i] = true
-	}
-	return c
+	return &Digraph{rows: d.clone(), arcs: d.arcs}
 }
 
 // CloneDeep returns a fully materialized copy sharing no storage with
 // the original; the reference for tests and clone benchmarks.
 func (d *Digraph) CloneDeep() *Digraph {
-	arena := make([]int32, 0, d.arcs)
-	c := &Digraph{
-		n:      d.n,
-		arcs:   d.arcs,
-		out:    make([][]int32, d.n),
-		shared: make([]bool, d.n),
-	}
-	for u := 0; u < d.n; u++ {
-		start := len(arena)
-		arena = append(arena, d.out[u]...)
-		c.out[u] = arena[start:len(arena):len(arena)]
-	}
-	return c
+	return &Digraph{rows: packRows(d.adj, d.arcs), arcs: d.arcs}
 }
 
 // Equal reports whether two digraphs have identical node and arc sets.
 func (d *Digraph) Equal(o *Digraph) bool {
-	if d.n != o.n || d.arcs != o.arcs {
-		return false
-	}
-	for u := 0; u < d.n; u++ {
-		if !slices.Equal(d.out[u], o.out[u]) {
-			return false
-		}
-	}
-	return true
-}
-
-func (d *Digraph) check(u int) {
-	if u < 0 || u >= d.n {
-		panic(fmt.Sprintf("graph: node %d out of range [0, %d)", u, d.n))
-	}
+	return d.arcs == o.arcs && d.equal(&o.rows)
 }

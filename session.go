@@ -56,10 +56,12 @@ type Session struct {
 	pos    []Point
 	alive  []bool
 	nodes  []core.NodeResult
-	recs   []*core.Reconfigurator
 	idx    *spatial.Grid // live nodes only; maintained across events
 	stats  SessionStats
 	cached *Result
+
+	// machines holds the current batch's §4 state machines (see machine).
+	machines map[int]*core.Reconfigurator
 
 	// The maintained topology. Repairs patch exactly the recomputed
 	// nodes' arcs into N_α and its symmetrization gpre; under pairwise
@@ -193,7 +195,6 @@ func (e *Engine) sessionFromExec(ctx context.Context, nodes []Point, exec *core.
 		pos:     append([]Point(nil), nodes...),
 		alive:   make([]bool, len(nodes)),
 		nodes:   exec.Nodes,
-		recs:    make([]*core.Reconfigurator, len(nodes)),
 		idx:     spatial.New(nodes, e.prop.MaxLinkRadius()),
 	}
 	if e.battery {
@@ -204,7 +205,6 @@ func (e *Engine) sessionFromExec(ctx context.Context, nodes []Point, exec *core.
 	}
 	for i := range nodes {
 		s.alive[i] = true
-		s.recs[i] = core.NewReconfigurator(e.alpha, e.model, exec.Nodes[i].Neighbors)
 	}
 	s.live = len(nodes)
 	if err := s.buildTopology(ctx); err != nil {
@@ -224,8 +224,9 @@ func (s *Session) buildTopology(ctx context.Context) error {
 	s.pruned = make([][]core.Discovery, n)
 	// The per-node prune (coverage arithmetic when shrink-back is on) is
 	// embarrassingly parallel, like the oracle itself.
-	if err := core.ParallelRange(ctx, n, core.ResolveWorkers(s.workers, n), func(_, u int) {
+	if err := core.ParallelRange(ctx, n, core.ResolveWorkers(s.workers, n), func(_, u int) error {
 		s.pruned[u] = e.pruneNeighbors(s.nodes[u].Neighbors)
+		return nil
 	}); err != nil {
 		return err
 	}
@@ -264,8 +265,9 @@ func (s *Session) deriveTopology(ctx context.Context) error {
 	s.comps = graph.NewLiveComponents(s.g, s.alive)
 	n := len(s.pos)
 	s.radius = make([]float64, n)
-	return core.ParallelRange(ctx, n, core.ResolveWorkers(s.workers, n), func(_, u int) {
+	return core.ParallelRange(ctx, n, core.ResolveWorkers(s.workers, n), func(_, u int) error {
 		s.radius[u] = graph.NodeRadius(s.g, s.pos, u)
+		return nil
 	})
 }
 
@@ -316,7 +318,6 @@ func (s *Session) admit(p Point) int {
 	s.pos = append(s.pos, p)
 	s.alive = append(s.alive, true)
 	s.nodes = append(s.nodes, core.NodeResult{})
-	s.recs = append(s.recs, nil)
 	s.idx.Add(id, p)
 	s.live++
 	s.pruned = append(s.pruned, nil)
@@ -365,15 +366,31 @@ func (s *Session) relocate(id int, p Point) Point {
 	return old
 }
 
+// machine returns observer u's §4 state machine for the current batch,
+// built on first use from u's installed row (empty for a node admitted
+// earlier in the batch). applyBatchLocked drops the machines after the
+// recompute: every observer an event mutated lies within R of a
+// disturbed site and is recomputed, so none carries state worth keeping.
+func (s *Session) machine(u int) *core.Reconfigurator {
+	if s.machines == nil {
+		s.machines = make(map[int]*core.Reconfigurator)
+	}
+	rc := s.machines[u]
+	if rc == nil {
+		rc = core.NewReconfigurator(s.eng.alpha, s.eng.model, s.nodes[u].Neighbors)
+		s.machines[u] = rc
+	}
+	return rc
+}
+
 // observeLeave classifies a leaveᵤ(id) event through each observer's §4
 // state machine, accumulating the regrow/repair counts into rep.
-// Observers without a state machine yet (nodes admitted earlier in the
-// same batch, awaiting their first recompute) never knew id and are
-// skipped, exactly as a non-neighbor is.
+// Observers that never knew id — including nodes admitted earlier in
+// the same batch — are skipped, exactly as a non-neighbor is.
 func (s *Session) observeLeave(id int, observers []int, rep *EventReport) {
 	for _, u := range observers {
-		rc := s.recs[u]
-		if rc == nil || !rc.Has(id) {
+		rc := s.machine(u)
+		if !rc.Has(id) {
 			continue
 		}
 		if rc.Leave(id) == core.ActionRegrow {
@@ -386,15 +403,14 @@ func (s *Session) observeLeave(id int, observers []int, rep *EventReport) {
 
 // observeMove classifies a move of node id to p at each observer: an
 // aChangeᵤ for observers that still reach it, a leaveᵤ for those it
-// left, a joinᵤ for those it approached. Observers without a state
-// machine yet treat a reachable mover as a joinᵤ.
+// left, a joinᵤ for those it approached.
 func (s *Session) observeMove(id int, p Point, observers []int, rep *EventReport) {
 	prop := s.eng.prop
 	pure := prop.DistancePure()
 	r := prop.MaxLinkRadius() * (1 + rangeSlack)
 	for _, u := range observers {
-		rc := s.recs[u]
-		was := rc != nil && rc.Has(id)
+		rc := s.machine(u)
+		was := rc.Has(id)
 		d := s.pos[u].Dist(p)
 		// Pure models keep the historical slack-widened distance test;
 		// link models re-check the exact per-link range predicate.
@@ -777,7 +793,6 @@ const repairParallelMin = 16
 // serial phase 2 applies it.
 type recomputed struct {
 	nr     core.NodeResult
-	rec    *core.Reconfigurator
 	pruned []core.Discovery
 }
 
@@ -816,22 +831,18 @@ func (s *Session) recompute(ids []int) []int {
 	runners := make([]core.NodeRunner, workers)
 	// ctx is inert: repairs are short, lock-held critical sections with
 	// no caller-supplied context to honor.
-	_ = core.ParallelRange(context.Background(), len(live), workers, func(w, i int) {
+	_ = core.ParallelRange(context.Background(), len(live), workers, func(w, i int) error {
 		u := live[i]
 		nr := runners[w].RunNode(s.pos, s.alive, s.eng.prop, s.eng.alpha, u, s.idx)
 		if s.eng.schedule != nil {
 			nr.Neighbors = core.QuantizeNeighbors(nr.Neighbors, s.eng.schedule)
 		}
-		results[i] = recomputed{
-			nr:     nr,
-			rec:    core.NewReconfigurator(s.eng.alpha, s.eng.model, nr.Neighbors),
-			pruned: s.eng.pruneNeighbors(nr.Neighbors),
-		}
+		results[i] = recomputed{nr: nr, pruned: s.eng.pruneNeighbors(nr.Neighbors)}
+		return nil
 	})
 
 	for i, u := range live {
 		s.nodes[u] = results[i].nr
-		s.recs[u] = results[i].rec
 		s.patchArcs(u, results[i].pruned)
 	}
 	for _, u := range out {
@@ -839,7 +850,6 @@ func (s *Session) recompute(ids []int) []int {
 			continue
 		}
 		s.nodes[u] = core.NodeResult{}
-		s.recs[u] = nil
 		s.patchArcs(u, nil)
 	}
 	if s.red != nil {

@@ -167,6 +167,7 @@ func (s *Session) applyBatchLocked(events []Event) (BatchReport, error) {
 		affected = append(affected, s.withinRange(-1, p)...)
 	}
 	rep.Recomputed = s.recompute(affected)
+	clear(s.machines)
 	return rep, nil
 }
 

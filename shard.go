@@ -1,15 +1,11 @@
 package cbtc
 
-import (
-	"context"
-	"runtime"
-	"sync"
-	"sync/atomic"
-)
+import "runtime"
 
 // shardPlan resolves how n independent units of work — batch placements,
 // fleet networks, comparison specs — spread across an engine's worker
-// budget. Shards is the number of pool goroutines; Inner is the nested
+// budget. Shards is the number of pool goroutines (the workers argument
+// of core.ParallelRange, which runs the units); Inner is the nested
 // per-unit worker budget each shard may spend (on the parallel oracle,
 // on session repair) without oversubscribing the scheduler. When there
 // are at least as many units as workers the pool saturates on unit-level
@@ -34,63 +30,4 @@ func planShards(workers, n int) shardPlan {
 		shards = n
 	}
 	return shardPlan{shards: shards, inner: workers / shards}
-}
-
-// run executes fn(ctx, i) for every i in [0, n) across the plan's
-// shard goroutines; results must be written to per-i slots, which
-// keeps the output independent of scheduling. Indices are handed out
-// through an atomic counter — a sharded work queue with no per-item
-// channel traffic — so heterogeneous unit costs balance automatically.
-// The first error cancels the pool and is returned; cancellation of
-// ctx yields ctx.Err().
-func (p shardPlan) run(ctx context.Context, n int, fn func(ctx context.Context, i int) error) error {
-	if n == 0 {
-		return ctx.Err()
-	}
-	workers := p.shards
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	var (
-		next     atomic.Int64
-		wg       sync.WaitGroup
-		errOnce  sync.Once
-		firstErr error
-	)
-	fail := func(err error) {
-		errOnce.Do(func() {
-			firstErr = err
-			cancel()
-		})
-	}
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				if err := ctx.Err(); err != nil {
-					return
-				}
-				if err := fn(ctx, i); err != nil {
-					fail(err)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return firstErr
-	}
-	return ctx.Err()
 }
