@@ -55,7 +55,7 @@ func (e *Engine) fingerprint() codec.EngineConfig {
 		BatteryCapacity:   e.batteryCap,
 		BatteryDrain:      e.batteryDrain,
 	}
-	if e.shadowed {
+	if e.useShadow {
 		fc.RadioKind = 1
 		fc.ShadowSigmaDB = e.shadowSigma
 		fc.ShadowSeed = e.shadowSeed
@@ -149,8 +149,8 @@ func (e *Engine) sessionFromState(st *codec.SessionState, workers int) (*Session
 	if err := e.checkFingerprint(st.Config); err != nil {
 		return nil, err
 	}
-	if (st.Battery != nil) != e.battery {
-		return nil, fmt.Errorf("%w: battery vector present %v under battery model %v", ErrCheckpointCorrupt, st.Battery != nil, e.battery)
+	if (st.Battery != nil) != e.useBattery {
+		return nil, fmt.Errorf("%w: battery vector present %v under battery model %v", ErrCheckpointCorrupt, st.Battery != nil, e.useBattery)
 	}
 	n := len(st.Pos)
 	if st.Battery != nil && len(st.Battery) != n {

@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"testing"
 
+	"cbtc/internal/codec"
 	"cbtc/internal/core"
 	"cbtc/internal/graph"
 	"cbtc/internal/radio"
@@ -208,7 +209,7 @@ func TestShadowingDeterminism(t *testing.T) {
 // TestShadowedGroundTruth: under per-link shadowing every executor
 // judges connectivity against one G_R — the maximum-power graph of the
 // propagation authority, not of the nominal power law — on a basic and
-// a pairwise-removal session stack alike.
+// a shrink-back session stack alike.
 func TestShadowedGroundTruth(t *testing.T) {
 	nodes := someNetwork(31, 60)
 	ctx := context.Background()
@@ -217,7 +218,7 @@ func TestShadowedGroundTruth(t *testing.T) {
 		opts []Option
 	}{
 		{"basic", nil},
-		{"pairwise", []Option{WithAllOptimizations()}},
+		{"shrink-back", []Option{WithShrinkBack()}},
 	} {
 		st := st
 		t.Run(st.name, func(t *testing.T) {
@@ -668,11 +669,22 @@ func TestRadioOptionConflicts(t *testing.T) {
 		{WithMaxRadius(500), WithBattery(10, math.Inf(1))},
 		{WithMaxRadius(500), WithShadowing(-1, 0)},
 		{WithMaxRadius(500), WithShadowing(math.NaN(), 0)},
+		// Theorems 3.2 and 3.6 order links by distance, which per-link
+		// shadowing breaks: neither removal is sound under it.
+		{WithMaxRadius(500), WithShadowing(8, 1), WithPairwiseRemoval(PairwiseLengthFiltered)},
+		{WithMaxRadius(500), WithAlpha(AlphaAsymmetric), WithShadowing(8, 1), WithAsymmetricRemoval()},
+		{WithMaxRadius(500), WithShadowing(8, 1), WithAllOptimizations()},
 	}
 	for i, opts := range bad {
 		if _, err := New(opts...); !errors.Is(err, ErrBadConfig) {
 			t.Errorf("case %d: New() error = %v, want ErrBadConfig", i, err)
 		}
+	}
+	// A checkpointed member fingerprint cannot bring the combination back.
+	shadowedPairwise := codec.EngineConfig{Alpha: AlphaConnectivity, MaxRadius: 500, PathLossExponent: 2, RefLoss: 1,
+		PairwiseRemoval: true, RadioKind: 1, ShadowSigmaDB: 8, ShadowSeed: 1}
+	if _, err := engineFromFingerprint(shadowedPairwise, 0); !errors.Is(err, ErrCheckpointCorrupt) {
+		t.Errorf("shadowed pairwise fingerprint: error = %v, want ErrCheckpointCorrupt", err)
 	}
 	// The radio options replace the whole model, so the later one wins:
 	// WithMaxRadius(r) is exactly the free-space model {2, r, 1}.

@@ -18,29 +18,18 @@ import (
 // and any number of Sessions (NewSession) and Fleets (NewFleet) may
 // evolve concurrently on top of it.
 type Engine struct {
-	alpha float64
-	model radio.Model // nominal power-law model (the hardware curve)
+	// settings are the validated options the engine was built from:
+	// cone angle, nominal power-law model (the hardware curve),
+	// optimization stack, schedule factor, worker budget (0 =
+	// GOMAXPROCS), shadowing and battery. They are also the checkpoint
+	// fingerprint's source.
+	settings
 	// prop is the propagation authority every executor consults: the
 	// nominal model itself, or a radio.LogDistance wrapping it when
 	// WithShadowing installed per-link shadowing. prop.Nominal() == model
 	// always holds.
 	prop     radio.Propagation
-	opts     core.Options
 	schedule []float64 // non-nil: quantize discovery tags to these levels
-	// scheduleFactor is the WithShrinkBackSchedule factor the schedule was
-	// built from (0 = exact tags); it is part of the checkpoint config
-	// fingerprint, since quantization changes the serialized fixed point.
-	scheduleFactor float64
-	workers        int // worker budget for Run/RunBatch/MaxPower/Session repair/Fleets; 0 = GOMAXPROCS
-
-	// shadowing (WithShadowing); part of the checkpoint fingerprint.
-	shadowed    bool
-	shadowSigma float64
-	shadowSeed  uint64
-	// battery (WithBattery); part of the checkpoint fingerprint.
-	battery      bool
-	batteryCap   float64
-	batteryDrain float64
 }
 
 // New builds an Engine from functional options, validating the combined
@@ -96,17 +85,18 @@ func newEngine(s settings) (*Engine, error) {
 	if s.workers < 0 {
 		return nil, fmt.Errorf("%w: negative worker count %d", ErrBadConfig, s.workers)
 	}
-	m := s.model
-	eng := &Engine{alpha: s.alpha, model: m, prop: m, opts: s.opts, workers: s.workers}
+	if s.useShadow && (s.opts.PairwiseRemoval || s.opts.AsymmetricRemoval) {
+		// Theorems 3.2 and 3.6 assume link power is ordered by distance;
+		// per-link shadowing breaks that, and the removals can partition.
+		return nil, fmt.Errorf("%w: pairwise and asymmetric removal require the uniform power law, not shadowing", ErrBadConfig)
+	}
+	eng := &Engine{settings: s, prop: s.model}
 	if s.useShadow {
-		ld, err := radio.NewLogDistance(m, s.shadowSigma, s.shadowSeed)
+		ld, err := radio.NewLogDistance(s.model, s.shadowSigma, s.shadowSeed)
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrBadConfig, err)
 		}
 		eng.prop = ld
-		eng.shadowed = true
-		eng.shadowSigma = s.shadowSigma
-		eng.shadowSeed = s.shadowSeed
 	}
 	if s.useBattery {
 		if math.IsNaN(s.batteryCap) || math.IsInf(s.batteryCap, 0) || s.batteryCap <= 0 {
@@ -115,21 +105,17 @@ func newEngine(s settings) (*Engine, error) {
 		if math.IsNaN(s.batteryDrain) || math.IsInf(s.batteryDrain, 0) || s.batteryDrain < 0 {
 			return nil, fmt.Errorf("%w: battery drain %v must be non-negative and finite", ErrBadConfig, s.batteryDrain)
 		}
-		eng.battery = true
-		eng.batteryCap = s.batteryCap
-		eng.batteryDrain = s.batteryDrain
 	}
 	if s.scheduleFactor != 0 {
 		inc, err := radio.Multiplicative(s.scheduleFactor)
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrBadConfig, err)
 		}
-		schedule, err := radio.Schedule(m.MaxPower()/1024, m.MaxPower(), inc)
+		schedule, err := radio.Schedule(s.model.MaxPower()/1024, s.model.MaxPower(), inc)
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrBadConfig, err)
 		}
 		eng.schedule = schedule
-		eng.scheduleFactor = s.scheduleFactor
 	}
 	return eng, nil
 }
@@ -143,19 +129,7 @@ func (e *Engine) derive(options ...Option) (*Engine, error) {
 	if len(options) == 0 {
 		return e, nil
 	}
-	s := settings{
-		alpha:          e.alpha,
-		model:          e.model,
-		opts:           e.opts,
-		scheduleFactor: e.scheduleFactor,
-		workers:        e.workers,
-		useShadow:      e.shadowed,
-		shadowSigma:    e.shadowSigma,
-		shadowSeed:     e.shadowSeed,
-		useBattery:     e.battery,
-		batteryCap:     e.batteryCap,
-		batteryDrain:   e.batteryDrain,
-	}
+	s := e.settings
 	s.apply(options)
 	return newEngine(s)
 }

@@ -975,7 +975,7 @@ func (f *Fleet) Observe() (TickStats, error) {
 		agg.Components += ts.Components
 		agg.Energy += ts.Energy
 		radiusSum += ts.AvgRadius * float64(ts.Live)
-		if net.eng.battery {
+		if net.eng.useBattery {
 			batLive += ts.Live
 			resSum += ts.Residual * float64(ts.Live)
 			resSqSum += (ts.EnergyVar + ts.Residual*ts.Residual) * float64(ts.Live)

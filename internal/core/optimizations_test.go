@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"cbtc/internal/geom"
@@ -63,13 +64,41 @@ func TestShrinkBackPreservesCoverage(t *testing.T) {
 		e := mustRun(t, pos, m, AlphaConnectivity)
 		shrunk := ShrinkBack(e)
 		for u := range pos {
-			before := geom.Coverage(e.Nodes[u].Directions(), e.Alpha)
-			after := geom.Coverage(shrunk.Nodes[u].Directions(), e.Alpha)
-			if !before.Equal(after, 1e-6) {
-				t.Errorf("seed=%d node=%d: coverage changed: %v -> %v", seed, u, before, after)
+			before, after := e.Nodes[u].Directions(), shrunk.Nodes[u].Directions()
+			if theta, ok := sameSampledCoverage(before, after, e.Alpha); !ok {
+				t.Errorf("seed=%d node=%d: coverage changed at bearing %v", seed, u, theta)
 			}
 		}
 	}
+}
+
+// sameSampledCoverage compares cover_α of two direction sets by its
+// definition — θ is covered iff some direction lies within α/2 of θ, up
+// to a 1e-6 rad tolerance — at 3600 evenly spaced bearings plus every
+// arc endpoint of either set. It returns the first probe where they
+// differ.
+func sameSampledCoverage(a, b []float64, alpha float64) (float64, bool) {
+	covered := func(dirs []float64, theta float64) bool {
+		for _, d := range dirs {
+			if geom.AngularDist(theta, d) <= alpha/2+1e-6 {
+				return true
+			}
+		}
+		return false
+	}
+	var probes []float64
+	for j := 0; j < 3600; j++ {
+		probes = append(probes, float64(j)*geom.TwoPi/3600)
+	}
+	for _, d := range append(slices.Clone(a), b...) {
+		probes = append(probes, d-alpha/2, d+alpha/2)
+	}
+	for _, theta := range probes {
+		if covered(a, theta) != covered(b, theta) {
+			return theta, false
+		}
+	}
+	return 0, true
 }
 
 // Interior (non-boundary) nodes cannot shrink: the growing phase stopped

@@ -35,7 +35,10 @@ func (a Action) String() string {
 // Reconfigurator is the per-node reconfiguration state machine of §4.
 // It maintains the node's neighbor set across joinᵤ(v), leaveᵤ(v) and
 // aChangeᵤ(v) events detected by the Neighbor Discovery Protocol, and
-// tells the protocol when a full regrow is needed.
+// tells the protocol when a full regrow is needed. Both of its angular
+// decisions run on the sorted bearings: a regrow when geom.HasGapSorted
+// finds an α-gap, and a shrink that drops a neighbor only while the
+// remaining bearings geom.Covers its bearing.
 //
 // The neighbor set is a compact id-sorted slice (neighbor counts are
 // small and sessions build one machine per recomputed node, so the
@@ -47,7 +50,7 @@ type Reconfigurator struct {
 	alpha float64
 	model radio.Model
 	nbrs  []Discovery // current neighbor set, ascending ID
-	dirs  []float64   // scratch: sorted direction set for gap tests
+	dirs  []float64   // scratch: sorted direction set for gap and cover tests
 	dist  []Discovery // scratch: shrink's farthest-first order
 }
 
@@ -142,9 +145,10 @@ func (r *Reconfigurator) AngleChange(id int, newDir float64) Action {
 }
 
 // shrink removes neighbors farthest-first while coverage is unchanged,
-// stopping at the first neighbor whose removal would reduce coverage.
-// Candidates are ordered by (distance descending, id ascending) — a
-// total order, so removal decisions are deterministic.
+// stopping at the first neighbor whose bearing the remaining bearings do
+// not geom.Covers. The bearings are sorted once and each removal deletes
+// from that slice. Candidates are ordered by (distance descending, id
+// ascending) — a total order, so removal decisions are deterministic.
 func (r *Reconfigurator) shrink() {
 	r.dist = append(r.dist[:0], r.nbrs...)
 	slices.SortFunc(r.dist, func(a, b Discovery) int {
@@ -156,17 +160,15 @@ func (r *Reconfigurator) shrink() {
 		}
 		return a.ID - b.ID
 	})
-	full := geom.Coverage(r.sortedDirs(), r.alpha)
+	dirs := r.sortedDirs()
 	for _, d := range r.dist {
-		i, ok := r.find(d.ID)
-		if !ok {
-			continue
+		j, _ := slices.BinarySearch(dirs, geom.Normalize(d.Dir))
+		dirs = slices.Delete(dirs, j, j+1)
+		if !geom.Covers(dirs, d.Dir, r.alpha) {
+			return // removal would change coverage: keep d and stop
 		}
+		i, _ := r.find(d.ID)
 		r.nbrs = slices.Delete(r.nbrs, i, i+1)
-		if !geom.Coverage(r.sortedDirs(), r.alpha).Equal(full, 10*geom.Eps) {
-			r.set(d) // removal changed coverage: keep and stop
-			return
-		}
 	}
 }
 

@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"cbtc/internal/geom"
 )
@@ -26,41 +27,33 @@ func ShrinkBack(e *Execution) *Execution {
 }
 
 // ShrinkNeighbors performs the shrink-back operation for a single node:
-// it keeps the minimal prefix of discovery-power levels whose α-coverage
-// equals the coverage of the full set. The distributed protocol uses it
-// directly when computing (possibly incorrectly reduced) beacon powers.
+// it keeps the shortest prefix of whole discovery-power levels, in
+// (Power, Dist, ID) order, whose bearings geom.Covers every later
+// bearing — the minimal prefix whose α-coverage equals that of the full
+// set. The distributed protocol uses it directly when computing
+// (possibly incorrectly reduced) beacon powers.
 func ShrinkNeighbors(neighbors []Discovery, alpha float64) []Discovery {
-	if len(neighbors) == 0 {
-		return neighbors
-	}
-	sorted := append([]Discovery(nil), neighbors...)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].Power != sorted[j].Power {
-			return sorted[i].Power < sorted[j].Power
+	sorted := slices.Clone(neighbors)
+	slices.SortFunc(sorted, func(a, b Discovery) int {
+		if c := cmp.Compare(a.Power, b.Power); c != 0 {
+			return c
 		}
-		if sorted[i].Dist != sorted[j].Dist {
-			return sorted[i].Dist < sorted[j].Dist
+		if c := cmp.Compare(a.Dist, b.Dist); c != 0 {
+			return c
 		}
-		return sorted[i].ID < sorted[j].ID
+		return a.ID - b.ID
 	})
-
-	allDirs := make([]float64, len(sorted))
-	for i, nb := range sorted {
-		allDirs[i] = nb.Dir
-	}
-	full := geom.Coverage(allDirs, alpha)
-
-	// Find the minimal power-level prefix with identical coverage. Levels
-	// are contiguous runs of equal Power; binary search does not apply
-	// because coverage equality is not monotone in arbitrary prefixes,
-	// but it is monotone in whole levels: walk levels from the front.
-	i := 0
-	for i < len(sorted) {
+	var kept []float64
+	for i := 0; i < len(sorted); {
 		levelEnd := i + 1
 		for levelEnd < len(sorted) && samePower(sorted[levelEnd].Power, sorted[i].Power) {
 			levelEnd++
 		}
-		if geom.Coverage(allDirs[:levelEnd], alpha).Equal(full, 10*geom.Eps) {
+		for _, nb := range sorted[i:levelEnd] {
+			kept = geom.InsertSorted(kept, nb.Dir)
+		}
+		uncovered := func(nb Discovery) bool { return !geom.Covers(kept, nb.Dir, alpha) }
+		if !slices.ContainsFunc(sorted[levelEnd:], uncovered) {
 			return sorted[:levelEnd]
 		}
 		i = levelEnd

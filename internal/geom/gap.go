@@ -74,3 +74,33 @@ func MaxGapSorted(sorted []float64) float64 {
 func HasGapSorted(sorted []float64, alpha float64) bool {
 	return MaxGapSorted(sorted) > alpha+Eps
 }
+
+// Covers reports whether bearing d's α-arc adds nothing to cover_α of
+// the kept bearings sorted (normalized, ascending, as maintained by
+// InsertSorted): the §3.1 shrink-back question of whether d may be
+// dropped without changing the node's cone coverage. Let a ≤ d ≤ b be
+// the kept bearings around d. The arcs of a and b overlap exactly when
+// b−a ≤ α, and then they cover d's arc; when b−a > α there is a hole
+// between them that d's arc reaches unless d coincides with a or b.
+// Hence d is covered iff the kept gap straddling d is at most α+Eps —
+// HasGap's tolerance; when d lies outside [first, last] this is the
+// wrap gap 2π−last+first, which is 2π when every kept bearing coincides
+// — or d lies within 10·Eps of a kept bearing. No kept bearings cover
+// nothing.
+func Covers(sorted []float64, d, alpha float64) bool {
+	n := len(sorted)
+	if n == 0 {
+		return false
+	}
+	d = Normalize(d)
+	i := sort.SearchFloat64s(sorted, d)
+	lo, hi := sorted[(i+n-1)%n], sorted[i%n]
+	gap := hi - lo
+	if i == 0 || i == n {
+		gap = TwoPi - sorted[n-1] + sorted[0]
+	}
+	if gap <= alpha+Eps {
+		return true
+	}
+	return AngularDist(d, lo) <= 10*Eps || AngularDist(d, hi) <= 10*Eps
+}

@@ -140,3 +140,47 @@ func TestInsertSortedMatchesMaxGap(t *testing.T) {
 		t.Fatal("degenerate direction sets must report a full-circle gap")
 	}
 }
+
+func TestCovers(t *testing.T) {
+	third := TwoPi / 3
+	cases := []struct {
+		name     string
+		kept     []float64
+		d, alpha float64
+		want     bool
+	}{
+		{"no kept bearings", nil, 1, math.Pi, false},
+		{"coincident kept bearings leave a 2π wrap gap", []float64{1, 1, 1}, 1.3, math.Pi / 2, false},
+		{"d on coincident kept bearings", []float64{1, 1, 1}, 1, math.Pi / 2, true},
+		{"d equal to a kept bearing", []float64{0, 2}, 2, 1, true},
+		{"d within 10·Eps of a kept bearing", []float64{0, 2}, 2 + 5*Eps, 1, true},
+		{"d 20·Eps past a kept bearing", []float64{0, 2}, 2 + 20*Eps, 1, false},
+		{"wrap gap straddles 0", []float64{0.2, TwoPi - 0.2}, 0, 0.5, true},
+		{"wrap gap straddles 2π", []float64{0.2, TwoPi - 0.2}, TwoPi - 1e-12, 0.5, true},
+		{"unnormalized d in the wrap gap", []float64{0.2, TwoPi - 0.2}, -0.1, 0.5, true},
+		{"wide wrap gap", []float64{0.3, 3}, TwoPi - 1e-12, 1, false},
+		{"d coincides across 0", []float64{1e-12, 3}, TwoPi - 1e-12, 1, true},
+		{"gap of exactly α", []float64{0, 1}, 0.5, 1, true},
+		{"gaps of exactly 2π/3", []float64{0, third, 2 * third}, 1, third, true},
+		{"gap of α+2·Eps", []float64{0, 1 + 2*Eps}, 0.5, 1, false},
+		{"full-circle cone", []float64{1}, 4, TwoPi, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := Covers(tc.kept, tc.d, tc.alpha); got != tc.want {
+				t.Errorf("Covers(%v, %v, %v) = %v, want %v", tc.kept, tc.d, tc.alpha, got, tc.want)
+			}
+			checkCovers(t, tc.kept, tc.d, tc.alpha)
+		})
+	}
+	t.Run("random sets match the definition", func(t *testing.T) {
+		rng := rand.New(rand.NewPCG(16, 3))
+		for trial := 0; trial < 500; trial++ {
+			kept := make([]float64, rng.IntN(8))
+			for i := range kept {
+				kept[i] = rng.Float64() * TwoPi
+			}
+			checkCovers(t, kept, rng.Float64()*TwoPi, 0.01+rng.Float64()*(TwoPi-0.01))
+		}
+	})
+}

@@ -1,7 +1,8 @@
 // Package geom provides the planar geometry substrate used by the
 // cone-based topology control algorithm: points and vectors, angle
-// arithmetic on the unit circle, angular-gap detection, cone membership
-// tests, and circular-arc coverage sets.
+// arithmetic on the unit circle, cone membership tests, and the angular
+// kernel on sorted bearings: the gap-α test (HasGap) that stops the
+// growing phase and the coverage test (Covers) that decides shrink-back.
 //
 // All angles are in radians. Directions (bearings) are normalized to
 // [0, 2π). The package is purely computational and allocation-light; it

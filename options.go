@@ -5,8 +5,8 @@ import (
 	"cbtc/internal/radio"
 )
 
-// settings accumulates functional options before New validates them
-// into an immutable Engine.
+// settings accumulates functional options; New validates them and the
+// immutable Engine embeds the result.
 type settings struct {
 	alpha          float64
 	model          radio.Model // zero until WithMaxRadius or WithRadioModel
@@ -67,7 +67,9 @@ func WithRadioModel(m RadioModel) Option {
 // power the link needs. The nominal model (WithRadioModel or
 // WithMaxRadius) remains the hardware curve — maximum power, schedules
 // and node-side distance estimation still derive from it. Zero sigmaDB
-// is valid and degenerates to the nominal law.
+// is valid and degenerates to the nominal law. Asymmetric and pairwise
+// removal order links by distance, which shadowing breaks, so New
+// rejects either of them alongside it with ErrBadConfig.
 func WithShadowing(sigmaDB float64, seed uint64) Option {
 	return func(s *settings) {
 		s.useShadow = true
@@ -120,7 +122,8 @@ func WithPairwiseRemoval(policy PairwisePolicy) Option {
 // shrink-back and pairwise removal always, asymmetric removal exactly
 // when α ≤ 2π/3. It is applied at New time, after all other options, so
 // it composes with WithAlpha in either order; a pairwise policy set by
-// WithPairwiseRemoval is kept.
+// WithPairwiseRemoval is kept. Its removals need the power law, so New
+// rejects it under WithShadowing.
 func WithAllOptimizations() Option {
 	return func(s *settings) { s.allOpts = true }
 }

@@ -197,7 +197,7 @@ func (e *Engine) sessionFromExec(ctx context.Context, nodes []Point, exec *core.
 		nodes:   exec.Nodes,
 		idx:     spatial.New(nodes, e.prop.MaxLinkRadius()),
 	}
-	if e.battery {
+	if e.useBattery {
 		s.battery = make([]float64, len(nodes))
 		for i := range s.battery {
 			s.battery[i] = e.batteryCap
