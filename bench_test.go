@@ -680,8 +680,8 @@ func BenchmarkFleet(b *testing.B) {
 // Both arms apply the same per-member tick sequences; they differ only
 // in scheduling:
 //
-//   - async: one fleet round per iteration on the work-stealing
-//     scheduler — each fast member ticks 4×, the straggler once, and
+//   - async: one fleet round per iteration on the fleet worker
+//     pool — each fast member ticks 4×, the straggler once, and
 //     nobody waits at a barrier.
 //   - lockstep: weights flattened to 1 and four rounds driven with a
 //     full drain between them — the retired PR 5 semantics, where every

@@ -64,12 +64,19 @@ func (e *Engine) fingerprint() codec.EngineConfig {
 }
 
 // checkFingerprint verifies a checkpoint's embedded engine fingerprint
-// against this engine's.
+// against this engine's. A fingerprint that differs only in spelling —
+// checkpoints written before New settled on one spelling of the default
+// pairwise policy — is rebuilt through newEngine, which decides the
+// spelling, and matches if the rebuilt engine fingerprints as this one.
 func (e *Engine) checkFingerprint(got codec.EngineConfig) error {
-	if want := e.fingerprint(); got != want {
-		return fmt.Errorf("%w: checkpoint %+v, engine %+v", ErrConfigMismatch, got, want)
+	want := e.fingerprint()
+	if got == want {
+		return nil
 	}
-	return nil
+	if eng, err := engineFromFingerprint(got, e.workers); err == nil && eng.fingerprint() == want {
+		return nil
+	}
+	return fmt.Errorf("%w: checkpoint %+v, engine %+v", ErrConfigMismatch, got, want)
 }
 
 // Checkpoint serializes the session's complete state to w in the
@@ -211,7 +218,8 @@ func (e *Engine) sessionFromState(st *codec.SessionState, workers int) (*Session
 // per-member clocks — after a cancelled run, or under skewed external
 // traffic — and restores to exactly that raggedness. The wall-clock
 // scheduling telemetry (MemberSchedStats) is deliberately not captured:
-// a restored fleet starts with fresh flow-rate estimates.
+// a restored fleet starts with no tick-cost estimates, so its first
+// advance runs members in fleet order.
 //
 // Checkpoint refuses to run while any member is quarantined — a
 // quarantined session may be mid-mutation and serializing it would
@@ -270,9 +278,10 @@ func (f *Fleet) Checkpoint(w io.Writer) error {
 
 // engineFromFingerprint rebuilds a member's derived engine from its
 // checkpointed fingerprint. The rebuilt engine's own fingerprint must
-// round-trip to the input exactly — anything else means the fingerprint
-// encodes a configuration the option surface cannot express, which is
-// corruption, not a restorable state.
+// round-trip to the input exactly, up to newEngine's spelling of the
+// pairwise policy — anything else means the fingerprint encodes a
+// configuration the option surface cannot express, which is corruption,
+// not a restorable state.
 func engineFromFingerprint(fc codec.EngineConfig, workers int) (*Engine, error) {
 	if fc.NonContributing {
 		// No public option path produces this flag; an honest checkpoint
@@ -310,7 +319,9 @@ func engineFromFingerprint(fc codec.EngineConfig, workers int) (*Engine, error) 
 	if err != nil {
 		return nil, fmt.Errorf("%w: member fingerprint does not validate: %v", ErrCheckpointCorrupt, err)
 	}
-	if got := eng.fingerprint(); got != fc {
+	want := fc
+	want.PairwisePolicy = uint8(eng.opts.PairwisePolicy)
+	if got := eng.fingerprint(); got != want {
 		return nil, fmt.Errorf("%w: member fingerprint %+v does not round-trip (got %+v)", ErrCheckpointCorrupt, fc, got)
 	}
 	return eng, nil

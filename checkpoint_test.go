@@ -280,6 +280,102 @@ func TestCheckpointConfigMismatch(t *testing.T) {
 	}
 }
 
+// Equivalent pairwise stacks restore each other's checkpoints: the
+// default policy fingerprints as 0 however it was requested, and a
+// checkpoint that spells it 1 (as checkpoints written before that
+// canonical spelling do) restores on every equivalent engine, both as a
+// session and as a fleet with a derived member.
+func TestEquivalentPairwiseStacksRestore(t *testing.T) {
+	ctx := context.Background()
+	var engs []*Engine
+	for _, opts := range [][]Option{
+		{WithMaxRadius(500), WithAllOptimizations()},
+		{WithMaxRadius(500), WithAllOptimizations(), WithPairwiseRemoval(0)},
+		{WithMaxRadius(500), WithShrinkBack(), WithPairwiseRemoval(PairwiseLengthFiltered)},
+	} {
+		eng, err := New(opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		engs = append(engs, eng)
+	}
+	for a, engA := range engs {
+		sess, err := engA.NewSession(ctx, someNetwork(3, 80))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := sess.Checkpoint(&buf); err != nil {
+			t.Fatal(err)
+		}
+		st, err := codec.DecodeSession(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.Config.PairwisePolicy = uint8(PairwiseLengthFiltered)
+		var legacy bytes.Buffer
+		if err := codec.EncodeSession(&legacy, st); err != nil {
+			t.Fatal(err)
+		}
+		for b, engB := range engs {
+			for name, data := range map[string][]byte{"canonical": buf.Bytes(), "policy-1": legacy.Bytes()} {
+				restored, err := engB.RestoreSession(bytes.NewReader(data))
+				if err != nil {
+					t.Fatalf("%s checkpoint of engine %d on engine %d: %v", name, a, b, err)
+				}
+				requireSessionsIdentical(t, sess, restored)
+			}
+		}
+	}
+
+	base := engs[2]
+	fleet, err := base.NewFleet(ctx, FleetConfig{Members: []MemberSpec{
+		{Placement: someNetwork(4, 40)},
+		{Placement: someNetwork(5, 40), Options: []Option{WithShrinkBackSchedule(1.5)}},
+	}, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := fleet.Run(ctx, 3, DriftTick(TickProfile{Moves: 3, Jitter: 60, JoinProb: 0.3, LeaveProb: 0.3, Width: 1000, Height: 1000}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := fleet.Checkpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+	st, err := codec.DecodeFleet(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Config.PairwisePolicy = uint8(PairwiseLengthFiltered)
+	for i := range st.Nets {
+		st.Nets[i].Config.PairwisePolicy = uint8(PairwiseLengthFiltered)
+	}
+	var legacy bytes.Buffer
+	if err := codec.EncodeFleet(&legacy, st); err != nil {
+		t.Fatal(err)
+	}
+	for b, eng := range engs {
+		restored, err := eng.RestoreFleet(bytes.NewReader(legacy.Bytes()))
+		if err != nil {
+			t.Fatalf("policy-1 fleet checkpoint on engine %d: %v", b, err)
+		}
+		got, err := restored.Report()
+		if err != nil {
+			t.Fatal(err)
+		}
+		zeroSched(got)
+		zeroSched(want)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("policy-1 fleet checkpoint on engine %d: restored report differs", b)
+		}
+		if restored.nets[1].eng.fingerprint().ScheduleFactor != 1.5 {
+			t.Errorf("engine %d: derived member lost its schedule", b)
+		}
+	}
+}
+
 // TestRestoreErrorPaths: hostile and mangled inputs yield the typed
 // public errors, never a panic.
 func TestRestoreErrorPaths(t *testing.T) {

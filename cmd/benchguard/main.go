@@ -51,8 +51,8 @@ type Report struct {
 	// Note is free-form provenance (machine, date, command).
 	Note string `json:"note,omitempty"`
 	// Tolerance is the allowed relative regression for tracked
-	// benchmarks (0.30 = 30%). Only read from baselines; a -tolerance
-	// flag or BENCHGUARD_TOLERANCE env var overrides it.
+	// benchmarks (0.30 = 30%, also the default when unset). Only read
+	// from baselines: a bound changes only by committing a new baseline.
 	Tolerance float64 `json:"tolerance,omitempty"`
 	// Benchmarks maps benchmark name (without -cpu suffix) to ns/op.
 	Benchmarks map[string]float64 `json:"benchmarks"`
@@ -114,13 +114,12 @@ var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.e+]+
 
 func main() {
 	var (
-		parse     = flag.String("parse", "", "parse `go test -bench` output from this file ('-' for stdin)")
-		out       = flag.String("out", "", "write the parsed report to this file (default stdout)")
-		note      = flag.String("note", "", "provenance note to embed in the parsed report")
-		check     = flag.Bool("check", false, "compare -current against -baseline")
-		baseline  = flag.String("baseline", "", "committed baseline report")
-		current   = flag.String("current", "", "report from the current run")
-		tolerance = flag.Float64("tolerance", 0, "override the baseline's regression tolerance (0.30 = 30%)")
+		parse    = flag.String("parse", "", "parse `go test -bench` output from this file ('-' for stdin)")
+		out      = flag.String("out", "", "write the parsed report to this file (default stdout)")
+		note     = flag.String("note", "", "provenance note to embed in the parsed report")
+		check    = flag.Bool("check", false, "compare -current against -baseline")
+		baseline = flag.String("baseline", "", "committed baseline report")
+		current  = flag.String("current", "", "report from the current run")
 	)
 	flag.Parse()
 	switch {
@@ -129,7 +128,7 @@ func main() {
 			fatal(err)
 		}
 	case *check:
-		if err := runCheck(*baseline, *current, *tolerance); err != nil {
+		if err := runCheck(*baseline, *current); err != nil {
 			fatal(err)
 		}
 	default:
@@ -252,7 +251,7 @@ func readReport(path string) (*Report, error) {
 	return &rep, nil
 }
 
-func runCheck(basePath, curPath string, tolOverride float64) error {
+func runCheck(basePath, curPath string) error {
 	if basePath == "" || curPath == "" {
 		return fmt.Errorf("-check needs both -baseline and -current")
 	}
@@ -265,14 +264,6 @@ func runCheck(basePath, curPath string, tolOverride float64) error {
 		return err
 	}
 	tol := base.Tolerance
-	if env := os.Getenv("BENCHGUARD_TOLERANCE"); env != "" {
-		if v, err := strconv.ParseFloat(env, 64); err == nil {
-			tol = v
-		}
-	}
-	if tolOverride > 0 {
-		tol = tolOverride
-	}
 	if tol <= 0 {
 		tol = 0.30
 	}

@@ -1,6 +1,6 @@
 // Command fleetsim drives a fleet of independent CBTC(α) networks
-// through mobility/membership ticks on the Engine's work-stealing fleet
-// scheduler and reports cross-network aggregate statistics — the
+// through mobility/membership ticks on the Engine's fleet worker pool
+// and reports cross-network aggregate statistics — the
 // many-networks workload class of a topology-control simulation service.
 //
 // Usage:
@@ -14,7 +14,7 @@
 // -protocol k builds the first k members with the paper's distributed
 // Figure 1 protocol instead of the oracle, exercising a heterogeneous
 // fleet. -workers 1 forces a serial drive — timing serial vs default
-// (GOMAXPROCS) shows the scheduler's speedup on multi-core machines.
+// (GOMAXPROCS) shows the worker pool's speedup on multi-core machines.
 //
 // -chaos injects deterministic faults into member ticks to demonstrate
 // quarantine isolation: the spec is comma-separated key=value pairs
@@ -66,7 +66,7 @@ func main() {
 		n         = flag.Int("n", 250, "nodes per network")
 		kind      = flag.String("kind", "uniform", "placement kind: uniform | clustered")
 		ticks     = flag.Int("ticks", 20, "fleet rounds to drive")
-		workers   = flag.Int("workers", 0, "scheduler pool size (0 = GOMAXPROCS, 1 = serial)")
+		workers   = flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS, 1 = serial)")
 		seed      = flag.Uint64("seed", 7, "base seed for placements and tick streams")
 		moves     = flag.Int("moves", 0, "nodes drifting per tick (0 = n/16)")
 		jitter    = flag.Float64("jitter", 0, "drift amplitude (0 = R/8)")
@@ -197,12 +197,12 @@ func main() {
 
 	if *verbose {
 		fmt.Println()
-		nt := stats.NewTable("net", "kind", "ticks", "events", "live", "edges", "comps", "degree", "radius", "max r", "energy", "tick µs", "preserved")
+		nt := stats.NewTable("net", "kind", "ticks", "events", "live", "edges", "comps", "degree", "radius", "max r", "energy", "tick µs", "busy ms", "preserved")
 		for _, nr := range rep.PerNetwork {
 			nt.AddRow(fmt.Sprint(nr.Net), nr.Kind.String(), fmt.Sprint(nr.Ticks), fmt.Sprint(nr.Events),
 				fmt.Sprint(nr.Final.Live), fmt.Sprint(nr.Final.Edges), fmt.Sprint(nr.Final.Components),
 				stats.F(nr.Final.AvgDegree, 2), stats.F(nr.Final.AvgRadius, 1), stats.F(maxRadius(fleet, &nr), 1),
-				stats.F(nr.Final.Energy, 0), stats.F(float64(nr.Sched.TickNs)/1e3, 0), fmt.Sprint(nr.Preserved))
+				stats.F(nr.Final.Energy, 0), stats.F(float64(nr.Sched.TickNs)/1e3, 0), stats.F(float64(nr.Sched.BusyNs)/1e6, 1), fmt.Sprint(nr.Preserved))
 		}
 		fmt.Print(nt.String())
 	}

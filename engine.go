@@ -79,6 +79,12 @@ func newEngine(s settings) (*Engine, error) {
 	if p := s.opts.PairwisePolicy; p < 0 || p > PairwiseBothEndpoints {
 		return nil, fmt.Errorf("%w: unknown pairwise policy %v", ErrBadConfig, p)
 	}
+	if s.opts.PairwisePolicy == PairwiseLengthFiltered {
+		// The zero policy already means PairwiseLengthFiltered; one
+		// spelling keeps engines that behave identically fingerprinting
+		// identically, so they restore each other's checkpoints.
+		s.opts.PairwisePolicy = 0
+	}
 	if err := s.opts.Validate(s.alpha); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadConfig, err)
 	}

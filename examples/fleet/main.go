@@ -4,9 +4,9 @@
 // membership churn. Engine.NewFleet owns M such networks, described by
 // heterogeneous MemberSpecs: members can be built by the exact oracle
 // or by actually running the paper's distributed protocol, can override
-// engine options, and can tick at different rates per fleet round. A
-// work-stealing scheduler drives every member's private tick clock, so
-// a slow member never stalls the rest.
+// engine options, and can tick at different rates per fleet round. One
+// worker pool drives every member's private tick clock, longest measured
+// work first, so a slow member never stalls the rest.
 //
 // Each member owns a private seeded RNG stream: the same config
 // produces byte-identical per-member results at any worker count —
@@ -83,8 +83,8 @@ func main() {
 	fmt.Printf("connectivity preserved in %d/%d networks\n", rep.Preserved, rep.Networks)
 
 	// Per-member drill-down: the same report shape fleetd serves over
-	// HTTP, including the member's kind, clock and scheduler telemetry.
+	// HTTP, including the member's kind, clock and scheduling telemetry.
 	nr := rep.PerNetwork[0]
-	fmt.Printf("network 0 (%s): %d ticks, %d live nodes in %d components, %d leases (%d requeues)\n",
-		nr.Kind, nr.Ticks, nr.Final.Live, nr.Final.Components, nr.Sched.Leases, nr.Sched.Requeues)
+	fmt.Printf("network 0 (%s): %d ticks, %d live nodes in %d components, busy %.1f ms (%.0f µs/tick)\n",
+		nr.Kind, nr.Ticks, nr.Final.Live, nr.Final.Components, float64(nr.Sched.BusyNs)/1e6, float64(nr.Sched.TickNs)/1e3)
 }

@@ -1,6 +1,7 @@
 package cbtc
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -49,8 +50,8 @@ const (
 	// MemberHealthy means the member ticks normally.
 	MemberHealthy MemberHealth = iota
 	// MemberQuarantined means a tick of the member panicked: its clock is
-	// frozen, the scheduler never leases it, event batches targeting it
-	// are refused, and reports stop reading its session (which may be
+	// frozen, Advance and TickEvents never tick it, event batches targeting
+	// it are refused, and reports stop reading its session (which may be
 	// mid-mutation). The panic and stack are retained in a
 	// QuarantineRecord; Fleet.Readmit restores the member from a
 	// checkpoint. Healthy members are unaffected — their results remain
@@ -104,7 +105,7 @@ func (e *QuarantineError) Error() string {
 }
 
 // TickHook is an instrumentation hook invoked immediately before every
-// member tick, on the scheduler worker driving the member, with the
+// member tick, on the pool worker driving the member, with the
 // member index and the tick number about to run. It exists for fault
 // injection and observation in tests and simulators (internal/chaos's
 // Injector.Tick is a TickHook): a panic inside the hook is handled
@@ -115,7 +116,7 @@ func (e *QuarantineError) Error() string {
 type TickHook func(net, tick int)
 
 // ObserveHook is an observation hook invoked immediately after every
-// completed member tick, on the scheduler worker driving the member,
+// completed member tick, on the pool worker driving the member,
 // with the member index, the tick number that just ran, and the
 // TickStats the tick observed. Since Observe is O(changed), a per-tick
 // hook costs the fleet essentially nothing — it is how drivers watch
@@ -165,7 +166,7 @@ type FleetConfig struct {
 	// reproducible from its member specs and one seed, at any worker
 	// count.
 	Seed uint64
-	// Workers sizes the fleet's scheduler pool. Zero means the engine's
+	// Workers sizes the fleet's worker pool. Zero means the engine's
 	// worker budget (WithWorkers; GOMAXPROCS by default); one drives the
 	// fleet serially.
 	Workers int
@@ -315,15 +316,16 @@ func clampTo(v, hi float64) float64 {
 }
 
 // Fleet owns M independent evolving networks — one Session each — and
-// drives their reconfiguration ticks on a work-stealing scheduler with
-// per-member tick clocks. Members are heterogeneous: each has its own
-// engine stack, construction kind (oracle or distributed protocol) and
-// per-round tick budget, and each advances at its own pace — a slow or
-// large member never stalls the others' clocks beyond one bounded lease.
-// Members never share mutable state: each has a private RNG stream,
-// private accumulators, and a session pinned to the shard plan's inner
-// worker budget, so per-member results are byte-identical given the
-// member's seed at any worker count. (The PR 5 fleet-wide lockstep
+// drives their reconfiguration ticks with per-member tick clocks, one
+// core.ParallelRange unit per member with ticks outstanding. Members are
+// heterogeneous: each has its own engine stack, construction kind
+// (oracle or distributed protocol) and per-round tick budget, and each
+// advances at its own pace — a slow or large member occupies one worker
+// and never stalls the others' clocks. Members never share mutable
+// state: each has a private RNG stream, private accumulators, and a
+// session pinned to the shard plan's inner worker budget, so per-member
+// results are byte-identical given the member's seed at any worker
+// count. (The PR 5 fleet-wide lockstep
 // invariant — all members always at the same tick — is retired; the
 // per-member invariant is the one that holds and is tested.)
 //
@@ -343,10 +345,10 @@ type Fleet struct {
 }
 
 // fleetNetwork is one member slot. Mutable state is touched only by the
-// scheduler worker currently holding the member's lease (handed off
-// through the ready queue, which orders the accesses) or under the fleet
-// lock when no run is in flight; the clocks are atomics so Watermarks
-// can read them from outside.
+// pool worker running the member's unit (one unit per member per
+// advance, so one worker at a time) or under the fleet lock when no run
+// is in flight; the clocks are atomics so Watermarks can read them from
+// outside.
 type fleetNetwork struct {
 	net    int
 	sess   *Session
@@ -362,7 +364,7 @@ type fleetNetwork struct {
 	rng *rand.Rand
 
 	done   atomic.Int64 // completed ticks — the member's clock
-	target atomic.Int64 // tick target the scheduler drives the clock to
+	target atomic.Int64 // tick target Advance drives the clock to
 
 	// health is the member's failure-domain state, atomic so Watermarks
 	// and Health read it lock-free mid-run. The quarantine record is
@@ -375,7 +377,11 @@ type fleetNetwork struct {
 	events int64      // events applied across all ticks
 	series TickSeries // per-tick TickStats accumulators
 
-	sched schedState
+	// busyNs and tickNs are the member's MemberSchedStats: wall-clock time
+	// spent driving it, and an EWMA of one tick's cost that orders the
+	// next advance's units. They are not deterministic and checkpoints
+	// leave them out.
+	busyNs, tickNs int64
 }
 
 // quarantined reports the member's health without any lock.
@@ -384,9 +390,9 @@ func (n *fleetNetwork) quarantined() bool {
 }
 
 // quarantine freezes the member: the panic and stack are recorded, and
-// the health flip stops the scheduler, reports and event ingestion from
+// the health flip stops ticking, reports and event ingestion from
 // ever touching the session again (it may be mid-mutation — Session
-// locks release on panic via defer, but the state behind them is
+// locks unlock on panic via defer, but the state behind them is
 // suspect until Readmit replaces it).
 func (n *fleetNetwork) quarantine(tick int, cause any) {
 	n.quarMu.Lock()
@@ -407,60 +413,15 @@ func (n *fleetNetwork) quarRecord() QuarantineRecord {
 	return n.quar
 }
 
-// errMemberQuarantined flows from a panicking tick to the scheduler: the
+// errMemberQuarantined flows from a panicking tick to advanceLocked: the
 // member is out, but the fleet operation continues for everyone else.
 var errMemberQuarantined = errors.New("cbtc: fleet member quarantined")
-
-// schedState is one member's scheduling telemetry. It measures wall
-// clock, so unlike everything else in a report it is NOT deterministic;
-// it is excluded from checkpoints and zeroed before report-equality
-// assertions.
-type schedState struct {
-	leases   int64
-	requeues int64
-	timeouts int64
-	busyNs   int64
-	ewmaNs   int64 // flow-rate estimate of one tick's cost
-}
-
-// Lease sizing for the work-stealing scheduler. A lease aims at
-// leaseTargetNs of work — the flow-rate estimate sizes the tick quantum
-// so fast members batch many cheap ticks per queue round-trip while
-// expensive members take one — and is hard-bounded by leaseBudgetNs:
-// when a member turns slow mid-lease (churn grew it, a batch hit an
-// expensive repair), the lease times out at the next tick boundary and
-// the member requeues behind the others instead of monopolizing its
-// worker. Vars, not consts, so tests can tighten them.
-var (
-	leaseTargetNs int64 = 2e6
-	leaseBudgetNs int64 = 8e6
-)
-
-// maxLeaseTicks caps a lease's tick quantum — the bounded in-flight work
-// per member.
-const maxLeaseTicks = 32
-
-// quantum sizes the next lease from the member's flow rate.
-func (n *fleetNetwork) quantum() int {
-	ewma := n.sched.ewmaNs
-	if ewma <= 0 {
-		return 1
-	}
-	q := leaseTargetNs / ewma
-	if q < 1 {
-		return 1
-	}
-	if q > maxLeaseTicks {
-		return maxLeaseTicks
-	}
-	return int(q)
-}
 
 // tickOnce advances the member's clock by one tick and folds the
 // observation into its accumulators. A panic anywhere in the tick — the
 // hook, the TickFunc, or the session repair itself — is recovered here:
 // the member is quarantined with its clock frozen just below the
-// panicking tick, and errMemberQuarantined tells the scheduler to drop
+// panicking tick, and errMemberQuarantined tells advanceLocked to drop
 // the member without poisoning the rest of the fleet.
 func (n *fleetNetwork) tickOnce(fn TickFunc, hook TickHook, obs ObserveHook) (err error) {
 	start := time.Now()
@@ -486,42 +447,12 @@ func (n *fleetNetwork) tickOnce(fn TickFunc, hook TickHook, obs ObserveHook) (er
 	}
 	n.done.Add(1)
 	cost := time.Since(start).Nanoseconds()
-	if n.sched.ewmaNs == 0 {
-		n.sched.ewmaNs = cost
+	if n.tickNs == 0 {
+		n.tickNs = cost
 	} else {
-		n.sched.ewmaNs += (cost - n.sched.ewmaNs) / 4
+		n.tickNs += (cost - n.tickNs) / 4
 	}
 	return nil
-}
-
-// lease runs one bounded scheduling lease on the member: up to quantum()
-// ticks, aborted early at a tick boundary once the time budget is
-// exceeded. It reports whether the member still has ticks outstanding
-// (and must requeue).
-func (n *fleetNetwork) lease(ctx context.Context, fn TickFunc, hook TickHook, obs ObserveHook) (again bool, err error) {
-	n.sched.leases++
-	quantum := n.quantum()
-	start := time.Now()
-	for k := 0; k < quantum && n.done.Load() < n.target.Load(); k++ {
-		if err := ctx.Err(); err != nil {
-			n.sched.busyNs += time.Since(start).Nanoseconds()
-			return false, err
-		}
-		if err := n.tickOnce(fn, hook, obs); err != nil {
-			n.sched.busyNs += time.Since(start).Nanoseconds()
-			return false, err
-		}
-		if k+1 < quantum && time.Since(start).Nanoseconds() > leaseBudgetNs {
-			n.sched.timeouts++
-			break
-		}
-	}
-	n.sched.busyNs += time.Since(start).Nanoseconds()
-	if n.done.Load() < n.target.Load() {
-		n.sched.requeues++
-		return true, nil
-	}
-	return false, nil
 }
 
 // NewFleet builds a Fleet from the config's member specs, running the
@@ -609,8 +540,8 @@ type MemberClock struct {
 }
 
 // TickWatermarks summarizes ragged per-member progress: Min is the
-// slowest member's completed ticks, Max the fastest's. Under the
-// heterogeneous scheduler Min == Max only for homogeneous fleets at
+// slowest member's completed ticks, Max the fastest's. With
+// heterogeneous tick budgets Min == Max only for homogeneous fleets at
 // rest; anything reporting a single fleet "tick count" reports Min —
 // what every member has completed at least.
 type TickWatermarks struct {
@@ -652,32 +583,35 @@ func (f *Fleet) Watermarks() FleetWatermarks {
 
 // Advance advances every member by rounds fleet rounds — member i's
 // tick target grows by rounds×Weight(i) — and drives all members to
-// their targets on the work-stealing scheduler, without assembling a
-// report. Run is Advance followed by Report.
+// their targets, without assembling a report. Run is Advance followed
+// by Report.
 //
-// Per member the scheduler calls fn for each tick's events and applies
-// them as one batched repair; members are leased to pool workers in
-// bounded tick quanta sized by each member's measured flow rate, with a
-// per-lease time budget that requeues a member that turns slow, so no
-// member monopolizes a worker and fast members never wait for stragglers
-// beyond one lease.
+// Each member with ticks outstanding is one core.ParallelRange unit: a
+// worker drives it to its target one tick at a time, calling fn for
+// each tick's events and applying them as one batched repair, so a
+// member's tick sequence is serial and its results independent of
+// scheduling. Units start longest measured remaining work first —
+// outstanding ticks times the member's tick-cost EWMA, fleet order among
+// equals — so a straggler starts at once. Members beyond the worker
+// count start only when a worker frees, so mid-run watermarks can be
+// more ragged; end results are the same.
 //
-// Cancellation drains cleanly: workers stop at the next tick boundary
-// and Advance returns ctx.Err(), leaving every session at a consistent
-// repaired state (mid-tick progress never leaks — a tick either applied
-// fully or not at all on each member). The tick targets are retained, so
-// a later Advance first catches lagging members up before adding its own
-// rounds; Advance(ctx, 0, fn) completes exactly the remainder of a
-// cancelled run.
+// Cancellation drains cleanly: every member stops at its next tick
+// boundary and Advance returns ctx.Err(), leaving every session at a
+// consistent repaired state (mid-tick progress never leaks — a tick
+// either applied fully or not at all on each member). The tick targets
+// are retained, so a later Advance first catches lagging members up
+// before adding its own rounds; Advance(ctx, 0, fn) completes exactly
+// the remainder of a cancelled run.
 //
 // Failure is isolated per member: a member whose tick panics is
 // quarantined (MemberQuarantined — clock frozen, panic and stack
 // recorded) while every healthy member still reaches its target, and
 // Advance returns a *QuarantineError listing the new casualties. An
 // already-quarantined member is skipped entirely: its target does not
-// grow and it causes no further error. Errors that are returned rather
-// than panicked (a TickFunc emitting invalid events) keep their
-// fail-fast semantics.
+// grow and it causes no further error. An error that is returned rather
+// than panicked (a TickFunc emitting invalid events) stops every member
+// at its next tick boundary and is returned.
 func (f *Fleet) Advance(ctx context.Context, rounds int, fn TickFunc) error {
 	if rounds < 0 {
 		return fmt.Errorf("%w: negative round count %d", ErrBadConfig, rounds)
@@ -694,88 +628,47 @@ func (f *Fleet) Advance(ctx context.Context, rounds int, fn TickFunc) error {
 }
 
 // advanceLocked drives every listed member with outstanding ticks to its
-// target on the work-stealing pool: members start on a ready queue,
-// each pool worker leases one member at a time for a bounded quantum,
-// and members with ticks still outstanding requeue at the tail. A
-// member is held by at most one worker at a time, so its tick sequence
-// is serial and its results scheduling-independent. Advance lists every
-// member; TickEvents only the ones it ticks.
+// target, one core.ParallelRange unit per member in longest measured
+// remaining work first order. Advance lists every member; TickEvents
+// only the ones it ticks.
 func (f *Fleet) advanceLocked(ctx context.Context, nets []*fleetNetwork, fn TickFunc) error {
-	backlog := 0
-	ready := make(chan *fleetNetwork, len(nets))
+	var units []*fleetNetwork
 	for _, net := range nets {
 		if !net.quarantined() && net.done.Load() < net.target.Load() {
-			ready <- net
-			backlog++
+			units = append(units, net)
 		}
 	}
-	if backlog == 0 {
-		return ctx.Err()
-	}
-	var pending atomic.Int64
-	pending.Store(int64(backlog))
-	drained := make(chan struct{})
+	work := func(n *fleetNetwork) int64 { return (n.target.Load() - n.done.Load()) * n.tickNs }
+	slices.SortStableFunc(units, func(a, b *fleetNetwork) int { return cmp.Compare(work(b), work(a)) })
 
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var (
-		errOnce  sync.Once
-		firstErr error
-	)
-	fail := func(err error) {
-		errOnce.Do(func() {
-			firstErr = err
-			cancel()
-		})
-	}
-
-	var (
 		casMu      sync.Mutex
 		casualties []*fleetNetwork
 	)
-	workers := planShards(f.workers, backlog).shards
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-ctx.Done():
-					return
-				case <-drained:
-					return
-				case net := <-ready:
-					again, err := net.lease(ctx, fn, f.hook, f.obsHook)
-					if err == errMemberQuarantined {
-						// The member is out, but the fleet is not: account it
-						// as finished so the healthy members keep draining.
-						casMu.Lock()
-						casualties = append(casualties, net)
-						casMu.Unlock()
-						if pending.Add(-1) == 0 {
-							close(drained)
-						}
-						continue
-					}
-					if err != nil {
-						fail(err)
-						return
-					}
-					if again {
-						// Each member occupies at most one queue slot, so
-						// the buffered send cannot block.
-						ready <- net
-					} else if pending.Add(-1) == 0 {
-						close(drained)
-					}
-				}
+	err := core.ParallelRange(ctx, len(units), planShards(f.workers, len(units)).shards, func(_, i int) error {
+		net := units[i]
+		start := time.Now()
+		defer func() { net.busyNs += time.Since(start).Nanoseconds() }()
+		// ctx is polled before every tick: a member stops at its next
+		// tick boundary, and the cancellation is reported below.
+		for net.done.Load() < net.target.Load() && ctx.Err() == nil {
+			switch err := net.tickOnce(fn, f.hook, f.obsHook); {
+			case err == errMemberQuarantined:
+				casMu.Lock()
+				casualties = append(casualties, net)
+				casMu.Unlock()
+				return nil
+			case err != nil:
+				cancel()
+				return err
 			}
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return firstErr
+		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	if err := ctx.Err(); err != nil {
 		return err
@@ -830,8 +723,8 @@ func (f *Fleet) Run(ctx context.Context, rounds int, fn TickFunc) (*FleetReport,
 // anything is applied, so an invalid batch returns an ErrBadEvent error
 // with the fleet untouched. Once started the tick is atomic: ctx is
 // checked only at entry, each member's batch applies as one
-// Session.Tick on Advance's lease scheduler, and per-tick statistics
-// fold into the same accumulators Run feeds.
+// Session.Tick in Advance's worker pool (one unit per ticked member),
+// and per-tick statistics fold into the same accumulators Run feeds.
 //
 // TickEvents requires each ticked member to be caught up to its tick
 // target; after a cancelled Run or Advance, complete the remainder
@@ -868,8 +761,8 @@ func (f *Fleet) TickEvents(ctx context.Context, events [][]Event) error {
 		}
 		ticked = append(ticked, net)
 	}
-	// Each ticked member owes exactly one tick, which the lease scheduler
-	// runs through the same envelope as a TickFunc-driven tick. The
+	// Each ticked member owes exactly one tick, which advanceLocked runs
+	// through the same envelope as a TickFunc-driven tick. The
 	// background context keeps the pre-validated tick atomic: a
 	// cancellation would strand members mid-batch with their external
 	// events lost.
@@ -928,17 +821,6 @@ func (f *Fleet) Health() FleetHealth {
 func (f *Fleet) SetTickHook(h TickHook) {
 	f.mu.Lock()
 	f.hook = h
-	f.mu.Unlock()
-}
-
-// SetObserveHook installs (or, with nil, removes) the fleet's
-// ObserveHook — the same hook FleetConfig.ObserveHook sets at
-// construction, exposed as a setter so restored fleets can be
-// instrumented too. It must not be called while a Run, Advance or
-// TickEvents is in flight.
-func (f *Fleet) SetObserveHook(h ObserveHook) {
-	f.mu.Lock()
-	f.obsHook = h
 	f.mu.Unlock()
 }
 
@@ -1028,54 +910,30 @@ func (f *Fleet) NetworkReport(i int) (*FleetNetworkReport, error) {
 // live-state fields (Final, Preserved, Stats, DegreeDist) zeroed.
 func (f *Fleet) networkReportLocked(i int) (FleetNetworkReport, error) {
 	net := f.nets[i]
+	nr := FleetNetworkReport{
+		Net:    i,
+		Kind:   net.kind,
+		Weight: net.weight,
+		Ticks:  int(net.done.Load()),
+		Target: int(net.target.Load()),
+		Events: int(net.events),
+		Series: net.series,
+		Sched:  MemberSchedStats{BusyNs: net.busyNs, TickNs: net.tickNs},
+	}
 	if net.quarantined() {
 		rec := net.quarRecord()
-		return FleetNetworkReport{
-			Net:        i,
-			Kind:       net.kind,
-			Weight:     net.weight,
-			Ticks:      int(net.done.Load()),
-			Target:     int(net.target.Load()),
-			Events:     int(net.events),
-			Series:     net.series,
-			Health:     MemberQuarantined,
-			Quarantine: &rec,
-			Sched: MemberSchedStats{
-				Leases:   net.sched.leases,
-				Requeues: net.sched.requeues,
-				Timeouts: net.sched.timeouts,
-				BusyNs:   net.sched.busyNs,
-				TickNs:   net.sched.ewmaNs,
-			},
-		}, nil
+		nr.Health, nr.Quarantine = MemberQuarantined, &rec
+		return nr, nil
 	}
 	snap, err := net.sess.Snapshot()
 	if err != nil {
 		return FleetNetworkReport{}, fmt.Errorf("network %d snapshot: %w", i, err)
 	}
-	ts, err := net.sess.Observe()
-	if err != nil {
+	if nr.Final, err = net.sess.Observe(); err != nil {
 		return FleetNetworkReport{}, fmt.Errorf("network %d: %w", i, err)
 	}
-	nr := FleetNetworkReport{
-		Net:       i,
-		Kind:      net.kind,
-		Weight:    net.weight,
-		Ticks:     int(net.done.Load()),
-		Target:    int(net.target.Load()),
-		Events:    int(net.events),
-		Final:     ts,
-		Preserved: snap.PreservesConnectivity(),
-		Stats:     net.sess.Stats(),
-		Series:    net.series,
-		Sched: MemberSchedStats{
-			Leases:   net.sched.leases,
-			Requeues: net.sched.requeues,
-			Timeouts: net.sched.timeouts,
-			BusyNs:   net.sched.busyNs,
-			TickNs:   net.sched.ewmaNs,
-		},
-	}
+	nr.Preserved = snap.PreservesConnectivity()
+	nr.Stats = net.sess.Stats()
 	for id := 0; id < net.sess.Len(); id++ {
 		if net.sess.Alive(id) {
 			nr.DegreeDist.Add(snap.G.Degree(id))
@@ -1170,23 +1028,17 @@ type FleetReport struct {
 	PerNetwork []FleetNetworkReport
 }
 
-// MemberSchedStats is one member's work-stealing telemetry: how the
-// scheduler actually served it. It measures wall clock and is therefore
-// not deterministic — it is excluded from checkpoints and must be
-// zeroed before byte-identity comparisons of reports.
+// MemberSchedStats is one member's scheduling telemetry: how the
+// fleet's worker pool actually served it. It measures wall clock and is
+// therefore not deterministic — it is excluded from checkpoints and must
+// be zeroed before byte-identity comparisons of reports.
 type MemberSchedStats struct {
-	// Leases counts scheduling leases granted to the member.
-	Leases int64
-	// Requeues counts leases that ended with ticks still outstanding.
-	Requeues int64
-	// Timeouts counts leases aborted early because the member exceeded
-	// the per-lease time budget — the straggler path.
-	Timeouts int64
 	// BusyNs is the total wall-clock time workers spent driving the
 	// member.
 	BusyNs int64
-	// TickNs is the scheduler's flow-rate estimate (EWMA) of one tick's
-	// cost.
+	// TickNs is an EWMA of one tick's wall-clock cost. Times the member's
+	// outstanding ticks, it orders the next advance's units, longest
+	// first.
 	TickNs int64
 }
 

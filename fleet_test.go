@@ -3,6 +3,7 @@ package cbtc
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand/v2"
 	"reflect"
 	"sync/atomic"
@@ -267,121 +268,120 @@ func TestFleetMixedEqualsSequential(t *testing.T) {
 // Straggler isolation: a member whose tick blocks must not stall the
 // other members' clocks — they run to their targets while the straggler
 // sits at tick 0, which the lock-free Watermarks read observes mid-run.
-// The straggler holds exactly one worker (its lease), so the rest of
-// the pool keeps draining the ready queue.
+// The straggler holds exactly one worker (its unit), so the rest of the
+// pool keeps driving the other members. The 300-member fleet exceeds
+// 64 members per worker, where a pool handing out chunks of consecutive
+// units would stall the members after the straggler in its chunk.
 func TestFleetStragglerIsolation(t *testing.T) {
-	const seed, slow, rounds = 17, 4, 5
-	ctx := context.Background()
-	sc := workload.Fleet(5, 30, "uniform")
-	placements := sc.Placements(seed)
-	tick := fleetTick(sc)
+	for _, members := range []int{5, 300} {
+		t.Run(fmt.Sprint("m=", members), func(t *testing.T) {
+			const seed, slow, rounds = 17, 4, 5
+			ctx := context.Background()
+			sc := workload.Fleet(members, 30, "uniform")
+			placements := sc.Placements(seed)
+			tick := fleetTick(sc)
 
-	// Reference: the same fleet with no blocking. The block wrapper
-	// consumes no randomness, so results must match exactly.
-	ref, err := fleetEngine(t).NewFleet(ctx, FleetConfig{Members: oracleMembers(placements), Seed: seed, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantRep, err := ref.Run(ctx, rounds, tick)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	fleet, err := fleetEngine(t).NewFleet(ctx, FleetConfig{Members: oracleMembers(placements), Seed: seed, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	release := make(chan struct{})
-	blocking := func(net, tk int, rng *rand.Rand, s *Session) []Event {
-		if net == slow {
-			<-release // blocks until released; instant afterwards
-		}
-		return tick(net, tk, rng, s)
-	}
-	done := make(chan struct{})
-	var gotRep *FleetReport
-	var runErr error
-	go func() {
-		defer close(done)
-		gotRep, runErr = fleet.Run(ctx, rounds, blocking)
-	}()
-
-	// The fast members must reach their targets while the straggler is
-	// still at tick 0 — bounded in-flight work means its stall costs one
-	// worker, not the fleet.
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		wm := fleet.Watermarks()
-		fastDone := true
-		for i, c := range wm.Members {
-			if i != slow && c.Ticks < rounds {
-				fastDone = false
+			// Reference: the same fleet with no blocking. The block
+			// wrapper consumes no randomness, so results must match
+			// exactly.
+			ref, err := fleetEngine(t).NewFleet(ctx, FleetConfig{Members: oracleMembers(placements), Seed: seed, Workers: 4})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		if fastDone {
-			if c := wm.Members[slow]; c.Ticks != 0 {
-				t.Errorf("straggler advanced to tick %d while blocked", c.Ticks)
+			wantRep, err := ref.Run(ctx, rounds, tick)
+			if err != nil {
+				t.Fatal(err)
 			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("fast members did not finish while the straggler was blocked")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	close(release)
-	<-done
-	if runErr != nil {
-		t.Fatal(runErr)
-	}
 
-	// The straggler's first lease covered one tick (cold flow-rate
-	// estimate), so finishing its remaining rounds requeued it at least
-	// once.
-	if rq := gotRep.PerNetwork[slow].Sched.Requeues; rq < 1 {
-		t.Errorf("straggler requeues = %d, want >= 1", rq)
-	}
-	zeroSched(gotRep)
-	zeroSched(wantRep)
-	if !reflect.DeepEqual(gotRep, wantRep) {
-		t.Error("straggler fleet report differs from unblocked reference")
+			fleet, err := fleetEngine(t).NewFleet(ctx, FleetConfig{Members: oracleMembers(placements), Seed: seed, Workers: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			release := make(chan struct{})
+			blocking := func(net, tk int, rng *rand.Rand, s *Session) []Event {
+				if net == slow {
+					<-release // blocks until released; instant afterwards
+				}
+				return tick(net, tk, rng, s)
+			}
+			done := make(chan struct{})
+			var gotRep *FleetReport
+			var runErr error
+			go func() {
+				defer close(done)
+				gotRep, runErr = fleet.Run(ctx, rounds, blocking)
+			}()
+
+			// The fast members must reach their targets while the
+			// straggler is still at tick 0 — bounded in-flight work means
+			// its stall costs one worker, not the fleet.
+			deadline := time.Now().Add(30 * time.Second)
+			for {
+				wm := fleet.Watermarks()
+				fastDone := true
+				for i, c := range wm.Members {
+					if i != slow && c.Ticks < rounds {
+						fastDone = false
+					}
+				}
+				if fastDone {
+					if c := wm.Members[slow]; c.Ticks != 0 {
+						t.Errorf("straggler advanced to tick %d while blocked", c.Ticks)
+					}
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatal("fast members did not finish while the straggler was blocked")
+				}
+				time.Sleep(time.Millisecond)
+			}
+			close(release)
+			<-done
+			if runErr != nil {
+				t.Fatal(runErr)
+			}
+
+			zeroSched(gotRep)
+			zeroSched(wantRep)
+			if !reflect.DeepEqual(gotRep, wantRep) {
+				t.Error("straggler fleet report differs from unblocked reference")
+			}
+		})
 	}
 }
 
-// The lease timeout path: a member that turns slow after building a
-// fast flow-rate estimate (large tick quantum) must hit the per-lease
-// time budget and be cut off early at a tick boundary.
-func TestFleetLeaseTimeout(t *testing.T) {
-	const seed = 23
+// Units run longest measured remaining work first: once warm-up
+// rounds have measured every member's tick cost, a serial advance ticks
+// the 2000-node straggler — the last member in fleet order — before any
+// light member.
+func TestFleetLongestWorkFirst(t *testing.T) {
 	ctx := context.Background()
-	sc := workload.Fleet(1, 25, "uniform")
-
-	fleet, err := fleetEngine(t).NewFleet(ctx, FleetConfig{Members: oracleMembers(sc.Placements(seed)), Seed: seed, Workers: 1})
+	mix := workload.StragglerMix(3, 80, 1, 2000)
+	straggler := len(mix) - 1
+	members := make([]MemberSpec, len(mix))
+	ticks := make([]TickFunc, len(mix))
+	for i, sz := range mix {
+		members[i] = MemberSpec{Placement: workload.MemberPlacement(11, i, sz), Ticks: sz.Ticks}
+		ticks[i] = DriftTick(TickProfile{Moves: sz.N / 16, Jitter: workload.PaperRadius / 8, Width: sz.Side, Height: sz.Side})
+	}
+	tick := func(net, tk int, rng *rand.Rand, s *Session) []Event { return ticks[net](net, tk, rng, s) }
+	fleet, err := fleetEngine(t).NewFleet(ctx, FleetConfig{Members: members, Seed: 11, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 24 event-less ticks build a microsecond-scale estimate, inflating
-	// the quantum to its cap; then every tick sleeps 3ms, so the 8ms
-	// lease budget trips after ~3 ticks with most of the quantum unused.
-	slowAfter := func(net, tk int, rng *rand.Rand, s *Session) []Event {
-		if tk >= 24 {
-			time.Sleep(3 * time.Millisecond)
-		}
-		return nil
-	}
-	rep, err := fleet.Run(ctx, 40, slowAfter)
-	if err != nil {
+	// Several warm-up rounds, so each tick-cost estimate averages more
+	// than one tick and a single stalled light tick cannot outrank the
+	// straggler.
+	if err := fleet.Advance(ctx, 3, tick); err != nil {
 		t.Fatal(err)
 	}
-	sched := rep.PerNetwork[0].Sched
-	if sched.Timeouts < 1 {
-		t.Errorf("sched = %+v: no lease timed out despite the slow phase", sched)
+	var order []int // serial drive: the hook runs on the caller's goroutine
+	fleet.SetTickHook(func(net, _ int) { order = append(order, net) })
+	if err := fleet.Advance(ctx, 1, tick); err != nil {
+		t.Fatal(err)
 	}
-	if sched.Requeues < 1 {
-		t.Errorf("sched = %+v: timed-out member was never requeued", sched)
-	}
-	if rep.PerNetwork[0].Ticks != 40 {
-		t.Errorf("member finished at tick %d, want 40", rep.PerNetwork[0].Ticks)
+	if len(order) == 0 || order[0] != straggler {
+		t.Fatalf("tick order %v: the straggler (member %d) did not tick first", order, straggler)
 	}
 }
 
@@ -541,11 +541,11 @@ func TestFleetValidation(t *testing.T) {
 	}
 }
 
-// A -race soak: a heterogeneous work-stealing run with concurrent
+// A -race soak: a heterogeneous worker-pool run with concurrent
 // direct session reads and lock-free Watermarks polls from outside the
-// pool. Sessions serialize internally, member state is handed off
-// through the ready queue, the clocks are atomics — the race detector
-// sees the whole machinery under load.
+// pool. Sessions serialize internally, each member's state is touched
+// by the one pool unit driving it, the clocks are atomics — the race
+// detector sees the whole machinery under load.
 func TestFleetRaceSoak(t *testing.T) {
 	sc := workload.Fleet(12, 40, "clustered")
 	placements := sc.Placements(9)

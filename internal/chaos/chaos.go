@@ -5,7 +5,7 @@
 // Every decision is a pure function of the injector's seed and the
 // fault site's coordinates — hash(seed, domain, a, b) mapped to [0, 1)
 // — never of a sequential RNG stream. That is what makes the injector
-// usable under the fleet's work-stealing scheduler: member ticks run in
+// usable under the fleet's worker pool: member ticks run in
 // a scheduling-dependent order across worker counts, but a fault keyed
 // on (net, tick) fires at the same site every run, so "panic 2 of 9
 // members" produces the same two casualties at workers 1, 2 and 8 and

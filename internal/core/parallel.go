@@ -7,11 +7,10 @@ import (
 	"sync/atomic"
 )
 
-// parallelChunk is how many consecutive indices a worker claims per grab
-// of the shared counter. Large enough that the atomic traffic vanishes
-// against per-node work, small enough that uneven node costs (clustered
-// placements) still balance across workers.
-const parallelChunk = 64
+// minPerWorker is the fewest indices ResolveWorkers gives each worker:
+// below it, a goroutine's startup outweighs its share of cheap per-node
+// work.
+const minPerWorker = 64
 
 // ctxCheckStride is how many indices a ParallelRange worker processes
 // between context polls: frequent enough to abort large runs promptly,
@@ -25,9 +24,9 @@ const parallelMinNodes = 256
 
 // ResolveWorkers normalizes a requested worker count against an index
 // space of n items: non-positive means GOMAXPROCS, small inputs stay
-// serial, and the pool never exceeds one worker per chunk. The result is
-// the number of goroutines ParallelRange will actually use, which callers
-// need when sizing per-worker scratch state.
+// serial, and the pool never exceeds one worker per minPerWorker items.
+// The result is the number of goroutines ParallelRange will actually
+// use, which callers need when sizing per-worker scratch state.
 func ResolveWorkers(workers, n int) int {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -35,7 +34,7 @@ func ResolveWorkers(workers, n int) int {
 	if n < parallelMinNodes {
 		return 1
 	}
-	if max := (n + parallelChunk - 1) / parallelChunk; workers > max {
+	if max := (n + minPerWorker - 1) / minPerWorker; workers > max {
 		workers = max
 	}
 	if workers < 1 {
@@ -48,10 +47,11 @@ func ResolveWorkers(workers, n int) int {
 // fanned across `workers` goroutines (1 runs inline; ResolveWorkers
 // sizes a pool for cheap per-node work). The worker index
 // w ∈ [0, workers) lets callers give each goroutine its own scratch
-// state. Indices are handed out in chunks through a shared atomic
-// counter, so uneven per-index costs balance automatically; fn must be
-// safe to call concurrently for distinct i, and results must go to
-// per-i slots so the output is independent of scheduling.
+// state. Indices are handed out in ascending order, one per grab of a
+// shared atomic counter, so uneven per-index costs balance automatically
+// and no index ever waits behind a slow one claimed by the same worker;
+// fn must be safe to call concurrently for distinct i, and results must
+// go to per-i slots so the output is independent of scheduling.
 //
 // Errors: the first non-nil fn result stops the pool handing out
 // indices and is returned; calls already running finish. Cancellation:
@@ -78,17 +78,6 @@ func ParallelRange(ctx context.Context, n, workers int, fn func(w, i int) error)
 		}
 		return nil
 	}
-	// Small index spaces shrink the chunk so the work still spreads
-	// across the pool: callers like session repair hand over a few dozen
-	// expensive items, where a full-size chunk would serialize them all
-	// onto the first worker.
-	chunk := parallelChunk
-	if n < workers*parallelChunk {
-		chunk = n / (2 * workers)
-		if chunk < 1 {
-			chunk = 1
-		}
-	}
 	var (
 		next     atomic.Int64
 		stop     atomic.Bool
@@ -102,31 +91,22 @@ func ParallelRange(ctx context.Context, n, workers int, fn func(w, i int) error)
 		go func(w int) {
 			defer wg.Done()
 			processed := 0
-			for {
-				if stop.Load() {
+			for !stop.Load() {
+				i := int(next.Add(1)) - 1
+				if i >= n {
 					return
 				}
-				start := int(next.Add(int64(chunk))) - chunk
-				if start >= n {
-					return
-				}
-				end := start + chunk
-				if end > n {
-					end = n
-				}
-				for i := start; i < end; i++ {
-					if poll {
-						if processed%ctxCheckStride == 0 && ctx.Err() != nil {
-							stop.Store(true)
-							return
-						}
-						processed++
-					}
-					if err := fn(w, i); err != nil {
-						errOnce.Do(func() { firstErr = err })
+				if poll {
+					if processed%ctxCheckStride == 0 && ctx.Err() != nil {
 						stop.Store(true)
 						return
 					}
+					processed++
+				}
+				if err := fn(w, i); err != nil {
+					errOnce.Do(func() { firstErr = err })
+					stop.Store(true)
+					return
 				}
 			}
 		}(w)

@@ -134,8 +134,7 @@ func TestRunParallelCancelledMidRun(t *testing.T) {
 }
 
 // ParallelRange must call fn exactly once per index regardless of pool
-// size, including the small ranges where the chunk shrinks to keep all
-// workers busy.
+// size.
 func TestParallelRangeCoverage(t *testing.T) {
 	for _, n := range []int{1, 17, 63, 64, 65, 640} {
 		for _, workers := range []int{1, 2, 7, 16} {
@@ -182,5 +181,47 @@ func TestParallelRangeFirstError(t *testing.T) {
 	cancel()
 	if err := ParallelRange(ctx, n, 4, func(_, i int) error { return nil }); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled pool: got %v, want context.Canceled", err)
+	}
+}
+
+// Every grab takes one index, so no unit waits behind a slow one claimed
+// by the same worker: unit 0 here blocks until every other unit has run,
+// which a chunk of several indices would never let happen, at small and
+// large range sizes alike.
+func TestParallelRangeOneIndexPerGrab(t *testing.T) {
+	for _, n := range []int{16, 1000} {
+		t.Run(fmt.Sprint("n=", n), func(t *testing.T) {
+			const workers = 2
+			var ran atomic.Int64
+			others := make(chan struct{})
+			abort := make(chan struct{})
+			done := make(chan error, 1)
+			go func() {
+				done <- ParallelRange(context.Background(), n, workers, func(_, i int) error {
+					if i == 0 {
+						select {
+						case <-others:
+						case <-abort:
+							return errors.New("unit 0 gave up waiting")
+						}
+						return nil
+					}
+					if ran.Add(1) == int64(n-1) {
+						close(others)
+					}
+					return nil
+				})
+			}()
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatal(err)
+				}
+			case <-time.After(10 * time.Second):
+				close(abort)
+				<-done
+				t.Fatalf("only %d of the other %d units ran while unit 0 blocked", ran.Load(), n-1)
+			}
+		})
 	}
 }

@@ -94,12 +94,12 @@ type MemberSize struct {
 }
 
 // StragglerMix returns the straggler-skewed heterogeneous fleet shape
-// used by the async-vs-lockstep benchmark and the scheduler tests: fast
+// used by the async-vs-lockstep benchmark and the scheduling tests: fast
 // light networks of fastN nodes ticking fastTicks times per round, plus
 // one heavyweight straggler of slowN nodes ticking once. Under the
-// work-stealing scheduler the fast members' 4× tick budgets cost only
-// their own wall-clock; under a lockstep barrier every fast tick waits
-// for a straggler tick. All members sit at paper density.
+// fleet's worker pool the fast members' 4× tick budgets cost only their
+// own wall-clock; under a lockstep barrier every fast tick waits for a
+// straggler tick. All members sit at paper density.
 func StragglerMix(fast, fastN, fastTicks, slowN int) []MemberSize {
 	out := make([]MemberSize, 0, fast+1)
 	for i := 0; i < fast; i++ {
